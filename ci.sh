@@ -60,6 +60,13 @@ cargo test -q --offline -p dnnperf --test fleet -- --test-threads 4
 echo "==> experiment binaries still build"
 cargo build --offline -p dnnperf-bench --bins
 
+echo "==> benchmark package builds and passes its self-tests"
+# perfbench/ is a workspace of its own, so the workspace build above never
+# compiles it; it imports the public API of the crates under test, so a
+# moved or renamed type must fail here rather than at benchmark time.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
 # Re-measures the serving/training hot paths with reduced iteration counts
 # and gates on machine-relative figures: warm-predict ns/kernel may not

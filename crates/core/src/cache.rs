@@ -1,14 +1,17 @@
-//! The sharded, memory-budgeted compiled-plan cache shared by every
-//! tenant and worker of the prediction server.
+//! The sharded, memory-budgeted compiled-plan cache: the one plan cache
+//! behind every [`Workflow`], every [`crate::PredictionOracle`] lookup and
+//! every tenant and worker of the prediction server.
 //!
 //! [`SharedPlanCache`] holds immutable [`Arc<CompiledPlan>`] values in
 //! `N` independently locked shards, keyed by
 //! `(suite generation, network fingerprint, batch)`:
 //!
 //! * the **suite generation** ([`Workflow::generation`]) is minted fresh
-//!   by every training run, so swapping a retrained suite under the
-//!   server changes every key it can produce — a reused cache
-//!   *structurally cannot* serve plans compiled against retired models;
+//!   by every training run and every [`Workflow::invalidate_plans`], so
+//!   a retrained or invalidated suite changes every key it can produce —
+//!   a reused cache *structurally cannot* serve plans compiled against
+//!   retired models, and the retired entries simply age out under the
+//!   budget;
 //! * the **network fingerprint** ([`network_fingerprint`]) hashes the
 //!   full layer structure, so two different networks never alias;
 //! * the **batch** completes the request identity.
@@ -23,8 +26,9 @@
 //! lookups stay wait-free of compilation, and each key compiles at most
 //! once per residency.
 
-use dnnperf_core::plan::{network_fingerprint, CompiledPlan};
-use dnnperf_core::{PredictError, Workflow};
+use crate::error::PredictError;
+use crate::plan::{fnv1a, network_fingerprint, CompiledPlan, FNV_OFFSET};
+use crate::workflow::Workflow;
 use dnnperf_dnn::Network;
 use dnnperf_sched::sync::{lock_unpoisoned, wait_unpoisoned};
 use std::collections::{BTreeMap, BTreeSet};
@@ -34,37 +38,23 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Identity of one cached plan. Ordering is derived so shards can use
 /// ordinary B-tree maps (deterministic iteration, no hash seeding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PlanKey {
+struct PlanKey {
     /// Suite generation the plan was compiled against.
-    pub generation: u64,
+    generation: u64,
     /// Structural fingerprint of the network.
-    pub fingerprint: u64,
+    fingerprint: u64,
     /// Batch size of the request.
-    pub batch: usize,
+    batch: usize,
 }
 
 impl PlanKey {
     /// The key for a request against a given suite.
-    pub fn of(suite: &Workflow, net: &Network, batch: usize) -> Self {
+    fn of(suite: &Workflow, net: &Network, batch: usize) -> Self {
         PlanKey {
             generation: suite.generation(),
             fingerprint: network_fingerprint(net),
             batch,
         }
-    }
-
-    /// FNV-1a mix of the key fields (shard selection).
-    fn mix(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        for v in [self.generation, self.fingerprint, self.batch as u64] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        }
-        h
     }
 }
 
@@ -218,7 +208,11 @@ impl SharedPlanCache {
     }
 
     fn shard_of(&self, key: &PlanKey) -> &Shard {
-        let idx = (key.mix() % self.shards.len() as u64) as usize;
+        // Byte-wise FNV-1a over the little-endian key fields.
+        let h = [key.generation, key.fingerprint, key.batch as u64]
+            .iter()
+            .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
+        let idx = (h % self.shards.len() as u64) as usize;
         // idx < len by construction; the iterator fallback keeps the hot
         // path free of panicking accessors either way.
         self.shards
@@ -348,6 +342,20 @@ impl SharedPlanCache {
             .sum()
     }
 
+    /// Resident entry count compiled against `generation`.
+    pub(crate) fn len_generation(&self, generation: u64) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                lock_unpoisoned(&s.state)
+                    .plans
+                    .keys()
+                    .filter(|k| k.generation == generation)
+                    .count()
+            })
+            .sum()
+    }
+
     /// Whether no plans are resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -373,23 +381,6 @@ impl SharedPlanCache {
             entries: self.len(),
             bytes: self.bytes(),
         }
-    }
-}
-
-/// The shared cache as a [`dnnperf_core::oracle::PlanSource`]: a
-/// [`dnnperf_core::PredictionOracle`] built over it (the fleet
-/// simulator's service-time oracle) draws from the same budgeted,
-/// generation-keyed resident set as the prediction server, so capacity
-/// studies and live serving share one working set — and the cache's
-/// never-over-budget and never-stale invariants hold on that path too.
-impl dnnperf_core::oracle::PlanSource for SharedPlanCache {
-    fn plan_for(
-        &self,
-        suite: &Workflow,
-        net: &Network,
-        batch: usize,
-    ) -> Result<Arc<CompiledPlan>, PredictError> {
-        self.get_or_compile(suite, net, batch)
     }
 }
 

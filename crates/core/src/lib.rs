@@ -18,6 +18,13 @@
 //! All models implement [`Predictor`] and are trained purely from a
 //! [`dnnperf_data::Dataset`] — never from the simulator's hidden parameters.
 //!
+//! A trained [`Workflow`] predicts through [`CompiledPlan`]s held in a
+//! [`SharedPlanCache`]: the one plan cache of the workspace — sharded,
+//! LRU and memory-budgeted, keyed by `(suite generation, network
+//! fingerprint, batch)`. Clones of a suite share it, the
+//! [`PredictionOracle`] draws from it, and the `dnnperf-serve` prediction
+//! server runs its own instance of it.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,6 +49,7 @@
 // dnnperf-lint's panic-policy pass verifies this attribute stays in place.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod cache;
 pub mod classify;
 pub mod cluster;
 pub mod degrade;
@@ -59,6 +67,7 @@ pub mod persist;
 pub mod plan;
 pub mod workflow;
 
+pub use cache::{CacheConfig, CacheStats, SharedPlanCache};
 pub use classify::{classify_kernels, classify_view, Driver, KernelClassification};
 pub use cluster::{cluster_kernels, cluster_view, Clustering};
 pub use degrade::{Degradation, GracefulPrediction};
@@ -69,7 +78,7 @@ pub use kernelwise::{KwModel, LayerCoverage};
 pub use layerwise::LwModel;
 pub use mapping::{KernelMap, LayerSignature};
 pub use model::Predictor;
-pub use oracle::{OraclePrediction, OracleSource, PlanSource, PredictionOracle};
+pub use oracle::{OraclePrediction, OracleSource, PredictionOracle};
 pub use overhead::{KwWithOverhead, OverheadModel};
 pub use persist::PersistError;
 pub use plan::CompiledPlan;

@@ -17,61 +17,27 @@
 //!   ([`IgkwModel::predict_network_on`]), flagged as
 //!   [`OracleSource::Igkw`].
 //!
-//! Plan lookups route through a pluggable [`PlanSource`] so callers can
-//! substitute a shared, memory-budgeted serving cache (the
-//! `dnnperf-serve` crate implements [`PlanSource`] for its
-//! `SharedPlanCache`) without the oracle caring where plans live. The
-//! default source is each suite's own [`Workflow::plan`] cache.
+//! Plan lookups go through [`Workflow::plan`], so they draw from the
+//! suite's memory-budgeted [`SharedPlanCache`] — the same cache
+//! implementation the prediction server uses.
 //!
 //! The oracle consumes only public model surfaces — compiled plans and
 //! IGKW fits — never `dnnperf_gpu::timing`; the oracle-isolation lint
 //! pass enforces that boundary for this module and for every simulator
 //! built on it.
+//!
+//! [`CompiledPlan::predict_graceful`]: crate::plan::CompiledPlan::predict_graceful
+//! [`SharedPlanCache`]: crate::cache::SharedPlanCache
 
 use crate::degrade::{Degradation, GracefulPrediction};
 use crate::error::PredictError;
 use crate::intergpu::IgkwModel;
 use crate::model::Predictor;
-use crate::plan::CompiledPlan;
 use crate::workflow::Workflow;
 use dnnperf_dnn::Network;
 use dnnperf_gpu::GpuSpec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Where a compiled plan for `(suite, network, batch)` comes from.
-///
-/// The default implementation is the suite's own plan cache; a serving
-/// layer can implement this for a shared, budgeted cache so simulators
-/// and servers draw from the same resident plans.
-pub trait PlanSource: Send + Sync {
-    /// The compiled plan for the request, compiling on miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PredictError`] from plan compilation.
-    fn plan_for(
-        &self,
-        suite: &Workflow,
-        net: &Network,
-        batch: usize,
-    ) -> Result<Arc<CompiledPlan>, PredictError>;
-}
-
-/// The default [`PlanSource`]: each suite's own [`Workflow::plan`] cache.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SuitePlans;
-
-impl PlanSource for SuitePlans {
-    fn plan_for(
-        &self,
-        suite: &Workflow,
-        net: &Network,
-        batch: usize,
-    ) -> Result<Arc<CompiledPlan>, PredictError> {
-        suite.plan(net, batch)
-    }
-}
 
 /// Which model family priced an oracle request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,30 +72,16 @@ impl OraclePrediction {
 
 /// Service-time oracle over trained suites with an inter-GPU fallback.
 /// See the module docs for the design.
+#[derive(Default)]
 pub struct PredictionOracle {
     suites: BTreeMap<String, Arc<Workflow>>,
     igkw: Option<IgkwModel>,
-    source: Arc<dyn PlanSource>,
 }
 
 impl PredictionOracle {
-    /// An empty oracle using each suite's own plan cache.
+    /// An empty oracle.
     pub fn new() -> Self {
-        PredictionOracle {
-            suites: BTreeMap::new(),
-            igkw: None,
-            source: Arc::new(SuitePlans),
-        }
-    }
-
-    /// An empty oracle whose plan lookups go through `source` (e.g. a
-    /// shared serving cache) instead of each suite's private cache.
-    pub fn with_plan_source(source: Arc<dyn PlanSource>) -> Self {
-        PredictionOracle {
-            suites: BTreeMap::new(),
-            igkw: None,
-            source,
-        }
+        PredictionOracle::default()
     }
 
     /// Registers the trained suite for one GPU (keyed by the suite's GPU
@@ -176,7 +128,7 @@ impl PredictionOracle {
         batch: usize,
     ) -> Result<OraclePrediction, PredictError> {
         if let Some(suite) = self.suites.get(&gpu.name) {
-            let plan = self.source.plan_for(suite, net, batch)?;
+            let plan = suite.plan(net, batch)?;
             let GracefulPrediction { seconds, notes } = plan.predict_graceful();
             return Ok(OraclePrediction {
                 seconds,
@@ -195,12 +147,6 @@ impl PredictionOracle {
         Err(PredictError::NoModelForGpu {
             gpu: gpu.name.clone(),
         })
-    }
-}
-
-impl Default for PredictionOracle {
-    fn default() -> Self {
-        PredictionOracle::new()
     }
 }
 

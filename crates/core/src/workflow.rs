@@ -2,13 +2,14 @@
 //! dataset goes in, a set of trained analytical models comes out, and new
 //! network structures are fed to the models for prediction.
 
+use crate::cache::{CacheConfig, SharedPlanCache};
 use crate::cluster::DEFAULT_SLOPE_TOLERANCE;
 use crate::e2e::E2eModel;
 use crate::error::{PredictError, TrainError};
 use crate::kernelwise::KwModel;
 use crate::layerwise::LwModel;
 use crate::model::Predictor;
-use crate::plan::{CompiledPlan, PlanCache};
+use crate::plan::CompiledPlan;
 use dnnperf_data::collect::collect_opts;
 use dnnperf_data::{CollectOptions, Dataset};
 use dnnperf_dnn::Network;
@@ -77,10 +78,10 @@ pub struct Workflow {
     pub lw: LwModel,
     /// The Kernel-Wise model.
     pub kw: KwModel,
-    /// Compiled-plan cache for the serving hot path. Clones snapshot the
-    /// entries (plans are immutable `Arc`s); see
-    /// [`Workflow::invalidate_plans`].
-    plans: PlanCache,
+    /// Compiled-plan cache for the serving hot path, bounded by
+    /// [`CacheConfig::default`]. Clones share it; entries are keyed by
+    /// the suite generation, see [`Workflow::invalidate_plans`].
+    plans: Arc<SharedPlanCache>,
     /// Suite generation: a process-unique id minted at train time and
     /// re-minted by [`Workflow::invalidate_plans`]. Plan-cache keys carry
     /// it, so a retrained suite can never serve its predecessor's plans.
@@ -93,9 +94,9 @@ impl Clone for Workflow {
             e2e: self.e2e.clone(),
             lw: self.lw.clone(),
             kw: self.kw.clone(),
-            // Same models, same generation: the snapshot of the ancestor's
-            // compiled plans stays valid and the clone starts warm.
-            plans: self.plans.clone(),
+            // Same models, same generation: the ancestor's compiled plans
+            // stay valid, so the clone shares its cache and starts warm.
+            plans: Arc::clone(&self.plans),
             generation: AtomicU64::new(self.generation()),
         }
     }
@@ -146,14 +147,7 @@ impl Workflow {
         gpu: &str,
         opts: &TrainOptions,
     ) -> Result<Self, TrainError> {
-        let threads = opts.effective_threads();
-        Ok(Workflow {
-            e2e: E2eModel::train(dataset, gpu)?,
-            lw: LwModel::train(dataset, gpu)?,
-            kw: KwModel::train_with_options(dataset, gpu, DEFAULT_SLOPE_TOLERANCE, threads)?,
-            plans: PlanCache::default(),
-            generation: AtomicU64::new(next_generation()),
-        })
+        Workflow::train_with_opts(dataset, gpu, dnnperf_linreg::Estimator::Ols, opts)
     }
 
     /// Trains the suite with an explicit regression estimator for the E2E
@@ -190,7 +184,7 @@ impl Workflow {
             e2e: E2eModel::train_with(dataset, gpu, estimator)?,
             lw: LwModel::train_with(dataset, gpu, estimator)?,
             kw: KwModel::train_with_options(dataset, gpu, DEFAULT_SLOPE_TOLERANCE, threads)?,
-            plans: PlanCache::default(),
+            plans: Arc::new(SharedPlanCache::new(&CacheConfig::default())),
             generation: AtomicU64::new(next_generation()),
         })
     }
@@ -222,28 +216,28 @@ impl Workflow {
 
     /// Suite generation: a process-unique id minted at train time. Two
     /// suites from different training runs never share a generation, and
-    /// [`Workflow::invalidate_plans`] mints a fresh one, so any plan cache
-    /// keyed on `(generation, network fingerprint, batch)` — this suite's
-    /// own, or a shared serving cache — structurally cannot return a plan
-    /// compiled against retired models.
+    /// [`Workflow::invalidate_plans`] mints a fresh one, so a
+    /// [`SharedPlanCache`] keyed on `(generation, network fingerprint,
+    /// batch)` — this suite's own, or a serving cache — structurally
+    /// cannot return a plan compiled against retired models.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// Drops every cached plan and mints a fresh suite generation. Call
-    /// this after mutating the suite's public model fields in place
-    /// (retraining produces a fresh [`Workflow`] with its own generation,
-    /// so the usual train → serve flow never needs it). The generation
-    /// bump also retires this suite's entries in any *shared* plan cache
-    /// keyed on the generation without touching other suites' entries.
+    /// Mints a fresh suite generation, retiring every plan cached for
+    /// the old one. Call this after mutating the suite's public model
+    /// fields in place (retraining produces a fresh [`Workflow`] with its
+    /// own generation, so the usual train → serve flow never needs it).
+    /// Nothing is purged: the retired entries can no longer be reached
+    /// and age out under the cache's memory budget, so invalidating a
+    /// clone never drains its ancestor's plans.
     pub fn invalidate_plans(&self) {
         self.generation.store(next_generation(), Ordering::Relaxed);
-        self.plans.clear();
     }
 
-    /// Number of plans currently cached.
+    /// Number of plans currently cached for the suite's generation.
     pub fn cached_plans(&self) -> usize {
-        self.plans.cached()
+        self.plans.len_generation(self.generation())
     }
 
     /// The three models as trait objects, in increasing complexity order.

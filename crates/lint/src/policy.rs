@@ -18,7 +18,7 @@ pub struct LockClassDecl {
     /// lock-order graph (e.g. `shard-state`).
     pub name: String,
     /// Path prefix scoping the declaration (e.g.
-    /// `crates/serve/src/cache.rs`): the same receiver ident in another
+    /// `crates/core/src/cache.rs`): the same receiver ident in another
     /// file is a different lock.
     pub path: String,
     /// The receiver identifier immediately before `.lock()` /
@@ -347,10 +347,10 @@ output_paths = ["crates/core/src/",]
             "[oracle]\noracle_crate = \"g\"\nprivate_modules = [\"m\"]\n",
             "[concurrency]\n",
             "paths = [\"crates/serve/src/\"]\n",
-            "lock_classes = [\"shard-state crates/serve/src/cache.rs state\"]\n",
+            "lock_classes = [\"shard-state crates/core/src/cache.rs state\"]\n",
             "blocking_calls = [\"join\", \"sleep\"]\n",
-            "condvar_pairs = [\"crates/serve/src/cache.rs state compiled\"]\n",
-            "condvar_allow = [\"crates/serve/src/cache.rs clear\"]\n",
+            "condvar_pairs = [\"crates/core/src/cache.rs state compiled\"]\n",
+            "condvar_allow = [\"crates/core/src/cache.rs clear\"]\n",
             "helper_file = \"crates/scheduler/src/sync.rs\"\n",
         );
         let p = Policy::parse(src).unwrap();
@@ -359,7 +359,7 @@ output_paths = ["crates/core/src/",]
             p.conc_lock_classes,
             vec![LockClassDecl {
                 name: "shard-state".into(),
-                path: "crates/serve/src/cache.rs".into(),
+                path: "crates/core/src/cache.rs".into(),
                 receiver: "state".into(),
             }]
         );
@@ -367,14 +367,14 @@ output_paths = ["crates/core/src/",]
         assert_eq!(
             p.conc_condvar_pairs,
             vec![CondvarPairDecl {
-                path: "crates/serve/src/cache.rs".into(),
+                path: "crates/core/src/cache.rs".into(),
                 mutex_receiver: "state".into(),
                 condvar: "compiled".into(),
             }]
         );
         assert_eq!(
             p.conc_condvar_allow,
-            vec![("crates/serve/src/cache.rs".to_string(), "clear".to_string())]
+            vec![("crates/core/src/cache.rs".to_string(), "clear".to_string())]
         );
         assert_eq!(p.conc_helper_file, "crates/scheduler/src/sync.rs");
     }

@@ -287,7 +287,7 @@ fn blocking_clean_fixture_has_no_findings() {
 #[test]
 fn condvar_bad_fixture_flags_bare_wait_and_silent_mutation() {
     let src = include_str!("fixtures/condvar_bad.rs");
-    let ctx = ctx_with(vec![("crates/serve/src/cache.rs", src)]);
+    let ctx = ctx_with(vec![("crates/core/src/cache.rs", src)]);
     let f = run_pass("condvar-discipline", &ctx);
     assert_eq!(f.len(), 2, "{f:#?}");
     assert!(
@@ -305,7 +305,7 @@ fn condvar_bad_fixture_flags_bare_wait_and_silent_mutation() {
 #[test]
 fn condvar_clean_fixture_has_no_findings() {
     let src = include_str!("fixtures/condvar_clean.rs");
-    let ctx = ctx_with(vec![("crates/serve/src/cache.rs", src)]);
+    let ctx = ctx_with(vec![("crates/core/src/cache.rs", src)]);
     let f = run_pass("condvar-discipline", &ctx);
     assert!(f.is_empty(), "clean twin flagged: {f:#?}");
 }

@@ -5,10 +5,12 @@
 //! can share one trained artifact. This crate is that serving layer,
 //! built std-only like the rest of the workspace:
 //!
-//! * [`cache`] — [`cache::SharedPlanCache`], a lock-striped LRU cache of
-//!   immutable [`dnnperf_core::CompiledPlan`]s under a configurable
-//!   memory budget, keyed by `(suite generation, network fingerprint,
-//!   batch)` so retrains can never serve stale plans;
+//! * [`SharedPlanCache`] — re-exported from `dnnperf_core::cache`, the
+//!   workspace's one plan cache: a lock-striped LRU cache of immutable
+//!   [`dnnperf_core::CompiledPlan`]s under a configurable memory budget,
+//!   keyed by `(suite generation, network fingerprint, batch)` so
+//!   retrains can never serve stale plans. The server holds one instance
+//!   shared by every tenant and worker;
 //! * [`server`] — [`server::PredictionServer`], the in-process API:
 //!   tenant registry, bounded admission queue with load shedding, and a
 //!   batching worker pool;
@@ -41,13 +43,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache;
 pub mod fault;
 pub mod protocol;
 pub mod server;
 pub mod tcp;
 
-pub use cache::{CacheConfig, CacheStats, PlanKey, SharedPlanCache};
+pub use dnnperf_core::cache::{CacheConfig, CacheStats, SharedPlanCache};
 pub use fault::{
     FaultyTransport, InjectedWorkerPanic, PanicPlan, TransportFault, TransportFaultKinds,
     TransportFaultPlan, TransportFaultStats,

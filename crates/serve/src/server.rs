@@ -42,10 +42,11 @@
 //!   joins every worker (including respawns), and answers whatever no
 //!   worker picked up with [`ServeError::ShuttingDown`].
 
-use crate::cache::{CacheConfig, CacheStats, SharedPlanCache};
 use crate::fault::{InjectedWorkerPanic, PanicPlan};
 use crate::protocol::Response;
-use dnnperf_core::{GracefulPrediction, PredictError, Workflow};
+use dnnperf_core::{
+    CacheConfig, CacheStats, GracefulPrediction, PredictError, SharedPlanCache, Workflow,
+};
 use dnnperf_dnn::Network;
 use dnnperf_sched::sync::{lock_unpoisoned, read_unpoisoned, wait_unpoisoned, write_unpoisoned};
 use dnnperf_sched::{Bounded, Clock, SendRejected, SystemClock};

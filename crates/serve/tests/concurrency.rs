@@ -205,36 +205,27 @@ fn mid_flight_invalidation_keeps_requests_deterministic() {
     assert_eq!(cache.stats().misses, misses_before);
 }
 
-/// The fleet-simulator oracle path: a `PredictionOracle` whose
-/// `PlanSource` is the shared serving cache, soaked with 10k seeded
-/// randomized ops (lookups interleaved with generation purges under a
-/// tight budget). The never-over-budget invariant must hold at every
-/// observable instant and every oracle answer must bit-match the suite's
-/// own graceful prediction, notes included.
+/// The fleet-simulator oracle path: a `PredictionOracle` over shared
+/// `Arc<Workflow>`s, soaked with 10k seeded randomized ops — lookups
+/// racing `invalidate_plans` on the very suites being priced. Every
+/// oracle answer must bit-match the suite's graceful prediction, notes
+/// included, whichever generation the lookup landed on. (The budget and
+/// purge invariants are pinned by the direct `SharedPlanCache` tests
+/// above.)
 #[test]
-fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
+fn oracle_over_shared_suites_soaks_through_invalidations() {
     use dnnperf_core::{OracleSource, PredictionOracle};
 
     let suite_a = train("A100");
     let suite_b = train("V100");
     let nets = nets();
 
-    // Budget tight enough that the soak's working set cannot all stay
-    // resident — purges and evictions both reshape the cache mid-run.
-    let probe = CompiledPlan::compile(&suite_a, &nets[0], 1).unwrap();
-    let budget = probe.approx_bytes() * 4;
-    let cache = Arc::new(SharedPlanCache::new(&CacheConfig {
-        shards: 2,
-        budget_bytes: budget,
-    }));
-
-    let mut oracle = PredictionOracle::with_plan_source(cache.clone());
+    let mut oracle = PredictionOracle::new();
     oracle.add_suite(Arc::clone(&suite_a));
     oracle.add_suite(Arc::clone(&suite_b));
     let oracle = &oracle;
 
-    // Expected answers, computed through each suite's private cache so
-    // disagreement can only come from the shared-cache path.
+    // Expected answers, computed before any invalidation races.
     let gpus = [
         GpuSpec::by_name("A100").unwrap(),
         GpuSpec::by_name("V100").unwrap(),
@@ -249,13 +240,13 @@ fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
         }
     }
     let want = &want;
+    let generations_before = suites.map(|s| s.generation());
 
     const OPS: usize = 10_000;
     const THREADS: usize = 8;
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..THREADS {
-            let cache = &cache;
             let gpus = &gpus;
             let nets = &nets;
             handles.push(s.spawn(move || {
@@ -271,8 +262,8 @@ fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
                     let ni = lcg() % nets.len();
                     let bi = lcg() % BATCHES.len();
                     if lcg() % 16 == 0 {
-                        // A retrain-style purge races the lookups.
-                        cache.purge_generation(suites[gi].generation());
+                        // An in-place invalidation races the lookups.
+                        suites[gi].invalidate_plans();
                     }
                     let got = oracle.predict(&gpus[gi], &nets[ni], BATCHES[bi]).unwrap();
                     let expect = &want[(gi * nets.len() + ni) * BATCHES.len() + bi];
@@ -283,12 +274,6 @@ fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
                     );
                     assert_eq!(got.notes, expect.notes);
                     assert_eq!(got.source, OracleSource::CompiledPlan);
-                    assert!(
-                        cache.bytes() <= cache.budget_bytes(),
-                        "cache {} bytes over budget {} at thread {t} op {op}",
-                        cache.bytes(),
-                        cache.budget_bytes()
-                    );
                 }
             }));
         }
@@ -297,11 +282,9 @@ fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
         }
     });
 
-    let stats = cache.stats();
-    assert!(stats.bytes <= budget, "{} > {budget}", stats.bytes);
-    assert_eq!(stats.hits + stats.misses, OPS as u64);
-    assert!(
-        stats.misses > 0 && stats.hits > 0,
-        "soak should see both cold and warm paths: {stats:?}"
-    );
+    for (suite, before) in suites.iter().zip(generations_before) {
+        assert_ne!(suite.generation(), before, "the soak must invalidate");
+        // Only the current generation counts: at most one plan per key.
+        assert!(suite.cached_plans() <= nets.len() * BATCHES.len());
+    }
 }
