@@ -32,6 +32,7 @@
 //!   every counter must match exactly; the prediction checksum must match
 //!   to 1e-6 relative.
 
+use dnnperf_bench::{json_number, lcg_next};
 use dnnperf_core::Workflow;
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::zoo;
@@ -94,25 +95,9 @@ fn parse_flags() -> Flags {
     flags
 }
 
-/// Extracts the number following `"key":` from a (flat) JSON document.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn fail(msg: &str) -> ! {
     eprintln!("FATAL: {msg}");
     std::process::exit(1)
-}
-
-fn lcg_next(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
 }
 
 fn chaos_nets() -> Vec<dnnperf_dnn::Network> {

@@ -318,6 +318,26 @@ macro_rules! cells {
     };
 }
 
+/// Extracts the number following `"key":` from a (flat) JSON document —
+/// how every `--check` gate reads its committed `BENCH_*.json` baseline.
+/// `None` when the key is missing or its value is not a number.
+pub fn json_number(doc: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = doc.find(&needle)? + needle.len();
+    let rest = &doc[at..];
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Advances a 64-bit LCG (Knuth's MMIX constants) and returns its top 31
+/// bits: the seeded request mix of the load and chaos generators.
+pub fn lcg_next(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,5 +426,21 @@ mod tests {
         let filtered = networks_in(&pool, &ds);
         assert_eq!(filtered.len(), 1);
         assert_eq!(filtered[0].name(), "ResNet-18");
+    }
+
+    #[test]
+    fn json_number_reads_flat_baselines() {
+        let doc =
+            "{\n  \"schema\": \"x\",\n  \"p99_us\": 1.5e3,\n  \"delta\": -0.25,\n  \"tail\": 7}";
+        assert_eq!(json_number(doc, "p99_us"), Some(1500.0));
+        assert_eq!(json_number(doc, "delta"), Some(-0.25));
+        // The last key is terminated by the closing brace, not a comma.
+        assert_eq!(json_number(doc, "tail"), Some(7.0));
+        assert_eq!(json_number(doc, "missing"), None);
+        // A key that is only a suffix of another key does not match it.
+        assert_eq!(json_number(doc, "us"), None);
+        // A string value is not a number.
+        assert_eq!(json_number(doc, "schema"), None);
+        assert_eq!(json_number("{\"a\":-1E-6}", "a"), Some(-1e-6));
     }
 }

@@ -8,9 +8,7 @@
 //! of the linear regression (the R² value)".
 
 use dnnperf_data::{DatasetView, GroupView, KernelRow};
-use dnnperf_linreg::{
-    fit_bounded_intercept, fit_bounded_segments, mean, Fit, Line, OlsAccum, FIT_CHUNK,
-};
+use dnnperf_linreg::{fit_bounded_segments, mean, Fit, Line, OlsAccum, FIT_CHUNK};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -111,39 +109,17 @@ impl KernelClassification {
     }
 }
 
-/// Rows-per-kernel reservation for [`group_by_kernel`]: every kernel in a
-/// collected dataset appears once per (network, batch) grid point it runs
-/// in, so even small grids put double-digit row counts behind each symbol.
-/// Reserving up front removes the doubling reallocations from the grouping
-/// pass without over-committing on tiny fixture inputs.
-const GROUP_ROWS_RESERVE: usize = 16;
-
-/// Groups kernel rows by kernel symbol in a single pass.
-///
-/// Entry-style insertion with pre-reserved row vectors: one ordered-map
-/// probe per row, no second scan over the input.
-pub fn group_by_kernel(rows: &[KernelRow]) -> BTreeMap<Arc<str>, Vec<&KernelRow>> {
-    let mut grouped: BTreeMap<Arc<str>, Vec<&KernelRow>> = BTreeMap::new();
-    for r in rows {
-        grouped
-            .entry(r.kernel.clone())
-            .or_insert_with(|| Vec::with_capacity(GROUP_ROWS_RESERVE.min(rows.len())))
-            .push(r);
-    }
-    grouped
-}
-
-/// [`group_by_kernel`] over borrowed rows — the allocation-free training
-/// path groups a GPU-filtered view of a dataset without cloning any row.
-pub fn group_row_refs<'a>(rows: &[&'a KernelRow]) -> BTreeMap<Arc<str>, Vec<&'a KernelRow>> {
-    let mut grouped: BTreeMap<Arc<str>, Vec<&'a KernelRow>> = BTreeMap::new();
-    for r in rows {
-        grouped
-            .entry(r.kernel.clone())
-            .or_insert_with(|| Vec::with_capacity(GROUP_ROWS_RESERVE.min(rows.len())))
-            .push(r);
-    }
-    grouped
+/// The driver with the highest score, the last maximum winning ties —
+/// `(0..3).max_by(total_cmp)` without the range-is-nonempty `expect`.
+pub(crate) fn best_driver(scores: &[f64; 3]) -> Driver {
+    let best = (1..3).fold(0, |b, i| {
+        if scores[i].total_cmp(&scores[b]).is_ge() {
+            i
+        } else {
+            b
+        }
+    });
+    Driver::all()[best]
 }
 
 fn constant_classification(kernel: Arc<str>, ys: &[f64]) -> KernelClassification {
@@ -158,44 +134,6 @@ fn constant_classification(kernel: Arc<str>, ys: &[f64]) -> KernelClassification
         fits: [None, Some(c), None],
         r2: [f64::NEG_INFINITY; 3],
         n: ys.len(),
-    }
-}
-
-/// Classifies one kernel's samples.
-pub fn classify_one(kernel: Arc<str>, rows: &[&KernelRow]) -> KernelClassification {
-    let ys: Vec<f64> = rows.iter().map(|r| r.seconds).collect();
-    let mut fits: [Option<Fit>; 3] = [None, None, None];
-    let mut r2 = [f64::NEG_INFINITY; 3];
-    for (i, driver) in Driver::all().into_iter().enumerate() {
-        let xs: Vec<f64> = rows.iter().map(|r| r.drivers()[driver.index()]).collect();
-        if let Ok(f) = fit_bounded_intercept(&xs, &ys) {
-            // A negative slope is physically meaningless for a time-vs-work
-            // relation, and a fit worse than the plain mean (R² <= 0) is not
-            // a candidate either.
-            if f.line.slope >= 0.0 && f.r2 > 0.0 {
-                r2[i] = f.r2;
-                fits[i] = Some(f);
-            }
-        }
-    }
-    // Equivalent to `(0..3).max_by(total_cmp)` (last maximum wins on
-    // ties) without the range-is-nonempty `expect`.
-    let best = (1..3).fold(0, |b, i| {
-        if r2[i].total_cmp(&r2[b]).is_ge() {
-            i
-        } else {
-            b
-        }
-    });
-    if r2[best] == f64::NEG_INFINITY {
-        return constant_classification(kernel, &ys);
-    }
-    KernelClassification {
-        kernel,
-        driver: Driver::all()[best],
-        fits,
-        r2,
-        n: rows.len(),
     }
 }
 
@@ -219,9 +157,10 @@ pub fn classify_kernels(rows: &[KernelRow]) -> BTreeMap<Arc<str>, KernelClassifi
 }
 
 /// Finalises one group's three candidate regressions from its accumulated
-/// chunk partials, applying the same admission rules as [`classify_one`]
-/// (non-negative slope, R² better than the plain mean, last maximum wins
-/// ties).
+/// chunk partials. A candidate is admitted only with a non-negative slope
+/// (a time-vs-work relation cannot fall) and an R² better than the plain
+/// mean; the best admitted R² wins, the last maximum winning ties, and a
+/// group with no admitted candidate gets a constant model.
 fn classify_group(gv: &GroupView<'_>, accs: &[OlsAccum; 3]) -> KernelClassification {
     let ys = gv.seconds;
     let mut fits: [Option<Fit>; 3] = [None, None, None];
@@ -234,19 +173,13 @@ fn classify_group(gv: &GroupView<'_>, accs: &[OlsAccum; 3]) -> KernelClassificat
             }
         }
     }
-    let best = (1..3).fold(0, |b, i| {
-        if r2[i].total_cmp(&r2[b]).is_ge() {
-            i
-        } else {
-            b
-        }
-    });
-    if r2[best] == f64::NEG_INFINITY {
+    let driver = best_driver(&r2);
+    if r2[driver.index()] == f64::NEG_INFINITY {
         return constant_classification(gv.kernel.clone(), ys);
     }
     KernelClassification {
         kernel: gv.kernel.clone(),
-        driver: Driver::all()[best],
+        driver,
         fits,
         r2,
         n: ys.len(),
@@ -323,30 +256,10 @@ pub fn classify_view(
     .collect()
 }
 
-/// Classifies pre-grouped kernel rows, fanning the per-kernel three-driver
-/// fits out over up to `threads` workers.
-///
-/// The grouped entry point lets [`crate::KwModel`] share one
-/// [`group_by_kernel`] pass between classification and clustering instead
-/// of re-scanning the rows. Kernels are classified independently and the
-/// results are stitched back in symbol order, so the output is
-/// byte-identical to the serial path for every thread count.
-pub fn classify_kernels_grouped(
-    groups: &BTreeMap<Arc<str>, Vec<&KernelRow>>,
-    threads: usize,
-) -> BTreeMap<Arc<str>, KernelClassification> {
-    let items: Vec<(&Arc<str>, &Vec<&KernelRow>)> = groups.iter().collect();
-    crate::par::map_ref(&items, threads, |(k, rs)| {
-        let c = classify_one((*k).clone(), rs);
-        ((*k).clone(), c)
-    })
-    .into_iter()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnnperf_linreg::fit_bounded_intercept;
 
     fn row(kernel: &str, in_e: u64, flops: u64, out_e: u64, seconds: f64) -> KernelRow {
         KernelRow {
@@ -363,6 +276,53 @@ mod tests {
         }
     }
 
+    /// Test-only serial reference: groups rows by symbol in a `BTreeMap`,
+    /// materialises each kernel's driver and target vectors, and fits them
+    /// with the plain [`fit_bounded_intercept`] under the same admission
+    /// rules the view engine applies.
+    fn naive_classification(rows: &[KernelRow]) -> BTreeMap<Arc<str>, KernelClassification> {
+        let mut groups: BTreeMap<Arc<str>, Vec<&KernelRow>> = BTreeMap::new();
+        for r in rows {
+            groups.entry(r.kernel.clone()).or_default().push(r);
+        }
+        groups
+            .into_iter()
+            .map(|(kernel, rs)| {
+                let ys: Vec<f64> = rs.iter().map(|r| r.seconds).collect();
+                let mut fits: [Option<Fit>; 3] = [None, None, None];
+                let mut r2 = [f64::NEG_INFINITY; 3];
+                for d in Driver::all() {
+                    let xs: Vec<f64> = rs.iter().map(|r| r.drivers()[d.index()]).collect();
+                    if let Ok(f) = fit_bounded_intercept(&xs, &ys) {
+                        if f.line.slope >= 0.0 && f.r2 > 0.0 {
+                            r2[d.index()] = f.r2;
+                            fits[d.index()] = Some(f);
+                        }
+                    }
+                }
+                let driver = best_driver(&r2);
+                let c = if r2[driver.index()] == f64::NEG_INFINITY {
+                    constant_classification(kernel.clone(), &ys)
+                } else {
+                    KernelClassification {
+                        kernel: kernel.clone(),
+                        driver,
+                        fits,
+                        r2,
+                        n: ys.len(),
+                    }
+                };
+                (kernel, c)
+            })
+            .collect()
+    }
+
+    fn classify_single(rows: &[KernelRow], kernel: &str) -> KernelClassification {
+        let mut classes = classify_kernels(rows);
+        assert_eq!(classes.len(), 1);
+        classes.remove(kernel).expect("kernel classified")
+    }
+
     #[test]
     fn input_driven_kernel_is_detected() {
         // Time follows input exactly; flops and output are decorrelated.
@@ -377,8 +337,7 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("im2col"), &refs);
+        let c = classify_single(&rows, "im2col");
         assert_eq!(c.driver, Driver::Input);
         assert!(c.r2[0] > 0.99);
         assert!(c.r2[0] > c.r2[1] && c.r2[0] > c.r2[2]);
@@ -397,9 +356,7 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("gemm"), &refs);
-        assert_eq!(c.driver, Driver::Operation);
+        assert_eq!(classify_single(&rows, "gemm").driver, Driver::Operation);
     }
 
     #[test]
@@ -415,17 +372,13 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("bias"), &refs);
-        assert_eq!(c.driver, Driver::Output);
+        assert_eq!(classify_single(&rows, "bias").driver, Driver::Output);
     }
 
     #[test]
     fn degenerate_samples_get_constant_model() {
         let rows = [row("k", 5, 5, 5, 2.0)];
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("k"), &refs);
-        let f = c.chosen_fit();
+        let f = classify_single(&rows, "k").chosen_fit();
         assert_eq!(f.line.slope, 0.0);
         assert_eq!(f.line.intercept, 2.0);
     }
@@ -436,10 +389,16 @@ mod tests {
         let rows: Vec<KernelRow> = (1..20u64)
             .map(|i| row("weird", i * 100, 7, 7, (30 - i) as f64))
             .collect();
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("weird"), &refs);
         // Input fit would be perfect but negative; must not be chosen.
-        assert!(c.fits[0].is_none());
+        assert!(classify_single(&rows, "weird").fits[0].is_none());
+    }
+
+    #[test]
+    fn ties_go_to_the_last_maximum() {
+        assert_eq!(best_driver(&[1.0, 1.0, 1.0]), Driver::Output);
+        assert_eq!(best_driver(&[2.0, 2.0, 1.0]), Driver::Operation);
+        assert_eq!(best_driver(&[3.0, 2.0, 1.0]), Driver::Input);
+        assert_eq!(best_driver(&[f64::NEG_INFINITY; 3]), Driver::Output);
     }
 
     #[test]
@@ -468,13 +427,21 @@ mod tests {
                 ));
             }
         }
-        let groups = group_by_kernel(&rows);
-        let serial = classify_kernels_grouped(&groups, 1);
-        assert_eq!(serial, classify_kernels(&rows));
-        for threads in [2, 3, 8] {
+        // One kernel spanning several FIT_CHUNK boundaries, interleaved
+        // with the others so the view must regroup it.
+        for i in 1..(2 * FIT_CHUNK as u64 + 77) {
+            rows.insert(
+                (i as usize * 7) % rows.len(),
+                row("big", i * 3, i * 11 + 5, (i * 13) % 500 + 1, i as f64 * 0.5),
+            );
+        }
+        let reference = naive_classification(&rows);
+        let refs: Vec<&KernelRow> = rows.iter().collect();
+        let view = DatasetView::from_refs(&refs);
+        for threads in [1, 2, 3, 8] {
             assert_eq!(
-                classify_kernels_grouped(&groups, threads),
-                serial,
+                classify_view(&view, threads),
+                reference,
                 "threads = {threads}"
             );
         }

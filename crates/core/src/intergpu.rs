@@ -13,8 +13,9 @@
 //! networks — on GPUs absent from the training set, including hypothetical
 //! configurations (Case Study 1).
 
-use crate::classify::{classify_one, group_by_kernel, Driver};
+use crate::classify::{best_driver, Driver, KernelClassification};
 use crate::error::{PredictError, TrainError};
+use crate::kernelwise::classify_gpu;
 use crate::mapping::KernelMap;
 use dnnperf_data::Dataset;
 use dnnperf_dnn::flops::layer_flops;
@@ -107,34 +108,13 @@ impl IgkwModel {
         metric: TransferMetric,
         allow_floor: bool,
     ) -> Result<Self, TrainError> {
-        // Per GPU: per-kernel classification and fits.
-        let mut per_gpu: Vec<(
-            f64,
-            BTreeMap<Arc<str>, crate::classify::KernelClassification>,
-        )> = Vec::new();
+        // Per GPU: the KW per-kernel classification and fits.
+        let mut per_gpu: Vec<(f64, BTreeMap<Arc<str>, KernelClassification>)> = Vec::new();
         let mut map = KernelMap::default();
         for gpu in gpus {
-            let rows: Vec<_> = dataset
-                .kernels
-                .iter()
-                .filter(|r| *r.gpu == gpu.name)
-                .cloned()
-                .collect();
-            if rows.is_empty() {
-                return Err(TrainError::NoDataForGpu {
-                    gpu: gpu.name.clone(),
-                });
-            }
-            map.merge(KernelMap::from_rows(&rows));
-            let grouped = group_by_kernel(&rows);
-            let classes = grouped
-                .into_iter()
-                .map(|(k, rs)| {
-                    let c = classify_one(k.clone(), &rs);
-                    (k, c)
-                })
-                .collect();
-            per_gpu.push((metric_value(metric, gpu), classes));
+            let fitted = classify_gpu(dataset, &gpu.name, 1)?;
+            map.merge(fitted.map);
+            per_gpu.push((metric_value(metric, gpu), fitted.classes));
         }
 
         // For each kernel: pick the driver with the best summed R2 across
@@ -157,16 +137,7 @@ impl IgkwModel {
                     }
                 }
             }
-            // `(0..3).max_by(total_cmp)` with the last maximum winning
-            // ties, written without the range-is-nonempty `expect`.
-            let best = (1..3).fold(0, |b, i| {
-                if votes[i].total_cmp(&votes[b]).is_ge() {
-                    i
-                } else {
-                    b
-                }
-            });
-            let driver = Driver::all()[best];
+            let driver = best_driver(&votes);
 
             let mut inv_metric = Vec::new();
             let mut slopes = Vec::new();

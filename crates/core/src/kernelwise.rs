@@ -12,11 +12,50 @@ use crate::cluster::{cluster_view, Clustering, DEFAULT_SLOPE_TOLERANCE};
 use crate::error::{PredictError, TrainError};
 use crate::mapping::KernelMap;
 use crate::model::Predictor;
-use dnnperf_data::{Dataset, DatasetView};
+use dnnperf_data::{Dataset, DatasetView, KernelRow};
 use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::{Layer, Network};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// One GPU's classified training snapshot; see [`classify_gpu`].
+pub(crate) struct GpuClasses {
+    /// The layer-to-kernel mapping table learned from the GPU's rows.
+    pub(crate) map: KernelMap,
+    /// The columnar view both training stages read.
+    pub(crate) view: DatasetView,
+    /// Per-kernel classifications, ascending by symbol.
+    pub(crate) classes: BTreeMap<Arc<str>, KernelClassification>,
+}
+
+/// The per-GPU training step every kernel-wise model shares: borrows the
+/// GPU's kernel rows (no clone), learns the mapping table, snapshots the
+/// rows into one columnar [`DatasetView`] and classifies every kernel on up
+/// to `threads` workers. The view is returned so KW can cluster over the
+/// same columns.
+///
+/// # Errors
+///
+/// Returns [`TrainError::NoDataForGpu`] if the dataset has no kernel rows
+/// for `gpu`.
+pub(crate) fn classify_gpu(
+    dataset: &Dataset,
+    gpu: &str,
+    threads: usize,
+) -> Result<GpuClasses, TrainError> {
+    let rows: Vec<&KernelRow> = dataset.kernels.iter().filter(|r| &*r.gpu == gpu).collect();
+    if rows.is_empty() {
+        return Err(TrainError::NoDataForGpu {
+            gpu: gpu.to_string(),
+        });
+    }
+    let view = DatasetView::from_refs(&rows);
+    Ok(GpuClasses {
+        map: KernelMap::from_row_refs(&rows),
+        classes: classify_view(&view, threads),
+        view,
+    })
+}
 
 /// How much of a layer's kernel work the KW model can actually price.
 ///
@@ -95,8 +134,8 @@ impl KwModel {
     /// Trains with an explicit clustering tolerance *and* worker count.
     ///
     /// The kernel rows are snapshotted into one columnar
-    /// [`DatasetView`] — SoA driver/target columns plus a sort-by-kernel
-    /// group index, built in a single pass with zero row clones — and that
+    /// [`DatasetView`] — SoA driver/target columns plus a per-kernel
+    /// group index, built by a counting sort with zero row clones — and that
     /// view is shared between classification and clustering. Both stages
     /// decompose their regressions into fixed [`dnnperf_linreg::FIT_CHUNK`]
     /// row chunks whose partial accumulators fan out over up to `threads`
@@ -114,20 +153,7 @@ impl KwModel {
         slope_tolerance: f64,
         threads: usize,
     ) -> Result<Self, TrainError> {
-        // Borrow the GPU's rows instead of cloning them: training only
-        // ever reads, and the clone was a measurable share of serial
-        // training time.
-        let rows: Vec<&dnnperf_data::KernelRow> =
-            dataset.kernels.iter().filter(|r| &*r.gpu == gpu).collect();
-        if rows.is_empty() {
-            return Err(TrainError::NoDataForGpu {
-                gpu: gpu.to_string(),
-            });
-        }
-        let map = KernelMap::from_row_refs(&rows);
-        // One columnar snapshot feeds both classification and clustering.
-        let view = DatasetView::from_refs(&rows);
-        let classes = classify_view(&view, threads);
+        let GpuClasses { map, view, classes } = classify_gpu(dataset, gpu, threads)?;
         let clustering = cluster_view(&view, &classes, slope_tolerance, threads);
         Ok(KwModel {
             gpu: gpu.to_string(),
@@ -391,17 +417,12 @@ impl KwFlopsOnlyModel {
     ///
     /// Same conditions as [`KwModel::train`].
     pub fn train(dataset: &Dataset, gpu: &str) -> Result<Self, TrainError> {
-        let rows: Vec<&dnnperf_data::KernelRow> =
-            dataset.kernels.iter().filter(|r| &*r.gpu == gpu).collect();
-        if rows.is_empty() {
-            return Err(TrainError::NoDataForGpu {
-                gpu: gpu.to_string(),
-            });
-        }
-        let map = KernelMap::from_row_refs(&rows);
-        let view = DatasetView::from_refs(&rows);
+        let GpuClasses {
+            map,
+            view,
+            mut classes,
+        } = classify_gpu(dataset, gpu, 1)?;
         // Force classification to Operation for every kernel.
-        let mut classes = classify_view(&view, 1);
         for c in classes.values_mut() {
             if c.fits[Driver::Operation.index()].is_some() {
                 c.driver = Driver::Operation;

@@ -1,21 +1,20 @@
 //! Columnar, group-indexed view over kernel rows.
 //!
-//! Model training used to group kernel rows by cloning them into
-//! `BTreeMap<Arc<str>, Vec<…>>` buckets, and the classify and cluster
-//! stages then re-materialised per-driver feature vectors from each bucket
-//! on every fit. [`DatasetView`] replaces all of that with one
-//! structure-of-arrays snapshot built in a single pass: three driver
-//! columns plus the target column, and a sort-by-kernel group index of row
-//! ranges. Zero rows are cloned — the view borrows nothing from the source
-//! rows except the interned kernel names (`Arc<str>` bumps), and both
-//! training stages share the same columns.
+//! [`DatasetView`] is the one structure model training reads: a
+//! structure-of-arrays snapshot of three driver columns plus the target
+//! column, and a group index of per-kernel row ranges. It is built by a
+//! stable counting sort over the rows' kernel symbols. Zero rows are
+//! cloned — the view takes nothing from the source rows except the kernel
+//! names (`Arc<str>` bumps), and classification and clustering share the
+//! same columns.
 //!
 //! Group order is ascending by kernel symbol and rows keep their original
-//! relative order within a group (the index sort is stable), so iterating
-//! the view visits exactly the `(kernel, rows)` sequence the historical
-//! `BTreeMap` grouping produced.
+//! relative order within a group, so the chunked regressions over each
+//! group see the same sample sequence whatever order the groups were
+//! discovered in.
 
 use crate::record::KernelRow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Columnar snapshot of kernel rows: SoA driver/target columns plus a
@@ -67,45 +66,64 @@ pub struct GroupView<'a> {
 }
 
 impl DatasetView {
-    /// Builds the view from borrowed rows in one pass: a stable sort of row
-    /// indices by kernel symbol, then a single sweep filling the columns
-    /// and detecting group boundaries. No row is cloned.
+    /// Builds the view from borrowed rows with a stable counting sort: one
+    /// ordered-map lookup per row assigns a dense first-seen id, the map's
+    /// ascending symbol order fixes the group order, prefix sums of the
+    /// per-id row counts become `bounds`, and each row is written at its
+    /// group's cursor, so rows keep their input order within a group. No
+    /// row is cloned.
     pub fn from_refs(rows: &[&KernelRow]) -> Self {
-        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-        order.sort_by(|a, b| {
-            let ka = rows.get(*a as usize).map(|r| &r.kernel);
-            let kb = rows.get(*b as usize).map(|r| &r.kernel);
-            ka.cmp(&kb)
-        });
-        let mut kernels: Vec<Arc<str>> = Vec::new();
+        let mut ids: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut names: Vec<&Arc<str>> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut row_ids: Vec<usize> = Vec::with_capacity(rows.len());
+        for row in rows {
+            let id = *ids.entry(&row.kernel).or_insert_with(|| {
+                names.push(&row.kernel);
+                counts.push(0);
+                names.len() - 1
+            });
+            if let Some(c) = counts.get_mut(id) {
+                *c += 1;
+            }
+            row_ids.push(id);
+        }
+        // `cursor[id]` starts at the first column row of id's group.
+        let mut kernels: Vec<Arc<str>> = Vec::with_capacity(ids.len());
         let mut bounds: Vec<usize> = vec![0];
-        let mut drivers: [Vec<f64>; 3] = [
-            Vec::with_capacity(rows.len()),
-            Vec::with_capacity(rows.len()),
-            Vec::with_capacity(rows.len()),
-        ];
-        let mut seconds: Vec<f64> = Vec::with_capacity(rows.len());
-        for idx in order {
-            let Some(row) = rows.get(idx as usize) else {
+        let mut cursor: Vec<usize> = vec![0; ids.len()];
+        let mut end = 0;
+        for &id in ids.values() {
+            if let (Some(name), Some(start), Some(count)) =
+                (names.get(id), cursor.get_mut(id), counts.get(id))
+            {
+                kernels.push(Arc::clone(name));
+                *start = end;
+                end += count;
+                bounds.push(end);
+            }
+        }
+        let n = rows.len();
+        let mut drivers: [Vec<f64>; 3] = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let mut seconds: Vec<f64> = vec![0.0; n];
+        for (row, &id) in rows.iter().zip(&row_ids) {
+            let Some(pos) = cursor.get_mut(id) else {
                 continue;
             };
-            if kernels.last() != Some(&row.kernel) {
-                if !kernels.is_empty() {
-                    bounds.push(seconds.len());
-                }
-                kernels.push(Arc::clone(&row.kernel));
-            }
+            let at = *pos;
+            *pos += 1;
             let [din, dop, dout] = row.drivers();
             let [ci, co, cu] = &mut drivers;
-            ci.push(din);
-            co.push(dop);
-            cu.push(dout);
-            seconds.push(row.seconds);
-        }
-        bounds.push(seconds.len());
-        if kernels.is_empty() {
-            // Normalise the empty view: `bounds` is the single sentinel 0.
-            bounds = vec![0];
+            for (col, v) in [
+                (ci, din),
+                (co, dop),
+                (cu, dout),
+                (&mut seconds, row.seconds),
+            ] {
+                if let Some(cell) = col.get_mut(at) {
+                    *cell = v;
+                }
+            }
         }
         DatasetView {
             kernels,

@@ -1,7 +1,8 @@
-//! Property-based tests for dataset splitting and CSV serialization.
+//! Property-based tests for dataset splitting, CSV serialization and the
+//! columnar training view.
 
 use dnnperf_data::csv::{read_dataset, write_dataset};
-use dnnperf_data::{split_names, Dataset, KernelRow, LayerRow, NetworkRow};
+use dnnperf_data::{split_names, Dataset, DatasetView, KernelRow, LayerRow, NetworkRow};
 use dnnperf_testkit::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -56,6 +57,31 @@ fn arb_kernel_row() -> impl Gen<Value = KernelRow> {
             flops: x * 2,
             out_elems: x / 2 + 1,
             seconds: t,
+        })
+}
+
+/// Kernel rows over a small symbol alphabet (prefix-related names stress
+/// the ordering), each with a freshly allocated `Arc<str>` name so nothing
+/// can rely on pointer identity.
+fn arb_view_row() -> impl Gen<Value = KernelRow> {
+    (
+        select(vec!["gemm", "a", "ab", "b", "relu", "ba"]),
+        0u64..1000,
+        0u64..1000,
+        0u64..1000,
+        0.0..1.0f64,
+    )
+        .prop_map(|(kernel, in_elems, flops, out_elems, seconds)| KernelRow {
+            network: Arc::from("net"),
+            gpu: Arc::from("g"),
+            batch: 1,
+            layer_index: 0,
+            layer_type: Arc::from("conv"),
+            kernel: Arc::from(kernel),
+            in_elems,
+            flops,
+            out_elems,
+            seconds,
         })
 }
 
@@ -154,5 +180,32 @@ props! {
         let once = ds.clone();
         ds.dedup();
         prop_assert_eq!(once, ds);
+    }
+
+    #[test]
+    fn view_groups_are_a_stable_partition_by_kernel(rows in vec(arb_view_row(), 0..300)) {
+        let refs: Vec<&KernelRow> = rows.iter().collect();
+        let view = DatasetView::from_refs(&refs);
+        let mut names: Vec<&str> = rows.iter().map(|r| &*r.kernel).collect();
+        names.sort_unstable();
+        names.dedup();
+        prop_assert_eq!(view.num_groups(), names.len());
+        prop_assert_eq!(view.num_rows(), rows.len());
+        let mut covered = 0;
+        for (g, name) in names.iter().enumerate() {
+            let gv = view.group(g).expect("group in range");
+            prop_assert_eq!(&**gv.kernel, *name);
+            prop_assert_eq!(view.group_index(name), Some(g));
+            let members: Vec<&KernelRow> = rows.iter().filter(|r| &*r.kernel == *name).collect();
+            for (d, col) in gv.drivers.iter().enumerate() {
+                let expected: Vec<f64> = members.iter().map(|r| r.drivers()[d]).collect();
+                prop_assert_eq!(*col, expected.as_slice());
+            }
+            let expected: Vec<f64> = members.iter().map(|r| r.seconds).collect();
+            prop_assert_eq!(gv.seconds, expected.as_slice());
+            covered += gv.seconds.len();
+        }
+        prop_assert_eq!(covered, rows.len());
+        prop_assert!(view.group(names.len()).is_none());
     }
 }
