@@ -70,8 +70,12 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
 # Re-measures the serving/training hot paths with reduced iteration counts
 # and gates on machine-relative figures: warm-predict ns/kernel may not
-# regress more than 2x vs the committed baseline, and the compiled-plan
-# sweep must stay at least 5x faster than the uncompiled legacy path.
+# regress more than 2x vs the committed baseline, the compiled-plan
+# sweep must stay at least 5x faster than the uncompiled legacy path, and
+# the warm Workflow::predict sweep (fingerprint + cache lookup + sweep)
+# may cost at most 2x the same sweep over precompiled plans
+# (workflow_over_sweep, an absolute machine-relative ceiling that reads no
+# baseline figure).
 # Release build: the baseline was captured in release, and the tier-1 step
 # above has already built it.
 cargo run --release --offline -q -p dnnperf-bench --bin perf -- --smoke --check BENCH_5.json

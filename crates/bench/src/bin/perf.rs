@@ -11,6 +11,11 @@
 //! * **warm-vs-legacy speedup** — compiled sweep vs the uncompiled
 //!   `KwModel::predict_network` on identical requests (machine-relative,
 //!   so the gate travels across hardware);
+//! * **workflow over sweep** — the warm `Workflow::predict` sweep (key
+//!   fingerprint + plan-cache lookup + plan sweep) over the same sweep run
+//!   on plans compiled up front (plan sweep alone): the cost of the layer
+//!   a caller hits relative to the layer below it. A ratio, so it travels
+//!   across hardware too;
 //! * **train speedup at 8 threads** — pooled vs serial KW training. The
 //!   training pool clamps its worker count to the machine's cores, so on
 //!   a single-core container this reads ~1.0 (graceful degradation, not
@@ -35,8 +40,10 @@
 //! * `--out PATH` — write the results as one JSON document (BENCH_5.json,
 //!   or BENCH_9.json with `--train-scaling`);
 //! * `--check PATH` — re-measure, then gate against a committed baseline:
-//!   fail (exit 1) if warm-predict ns/kernel regressed by more than 2x, or
-//!   if the warm-vs-legacy speedup fell below 5x. With `--train-scaling`:
+//!   fail (exit 1) if warm-predict ns/kernel regressed by more than 2x, if
+//!   the warm-vs-legacy speedup fell below 5x, or if the workflow-over-sweep
+//!   ratio rose above 2x (an absolute ceiling; the baseline's figure is not
+//!   consulted). With `--train-scaling`:
 //!   fail if the 8-thread train speedup is below 2x (cores permitting) or
 //!   if serial training ns/row regressed by more than 2x.
 
@@ -53,6 +60,10 @@ use dnnperf_gpu::GpuSpec;
 const MAX_NS_PER_KERNEL_REGRESSION: f64 = 2.0;
 /// Minimum tolerated warm-vs-legacy speedup.
 const MIN_WARM_SPEEDUP: f64 = 5.0;
+/// Maximum tolerated ratio of the warm `Workflow::predict` sweep to the
+/// same sweep over precompiled plans: the fingerprint and cache lookup may
+/// at most double the cost of the plan sweep they front.
+const MAX_WORKFLOW_OVER_SWEEP: f64 = 2.0;
 /// Minimum tolerated 8-thread training speedup — only enforced on machines
 /// with at least [`MIN_CORES_FOR_SPEEDUP_GATE`] cores.
 const MIN_TRAIN_SPEEDUP_THREADS8: f64 = 2.0;
@@ -139,6 +150,7 @@ struct Report {
     sweep_kernel_terms: usize,
     warm_ns_per_kernel: f64,
     warm_vs_legacy_speedup: f64,
+    workflow_over_sweep: f64,
     train_speedup_threads8: f64,
     entries: Vec<BenchResult>,
 }
@@ -162,6 +174,10 @@ impl Report {
         out.push_str(&format!(
             "  \"warm_vs_legacy_speedup\": {:.2},\n",
             self.warm_vs_legacy_speedup
+        ));
+        out.push_str(&format!(
+            "  \"workflow_over_sweep\": {:.2},\n",
+            self.workflow_over_sweep
         ));
         out.push_str(&format!(
             "  \"train_speedup_threads8\": {:.2},\n",
@@ -231,6 +247,13 @@ fn run(smoke: bool) -> Report {
             .map(|(n, b)| suite.predict(n, *b).expect("predict"))
             .sum::<f64>()
     });
+    let plans: Vec<_> = pairs
+        .iter()
+        .map(|(n, b)| suite.plan(n, *b).expect("plan"))
+        .collect();
+    let plan_sweep = bench("predict/plan_sweep", fast_w, fast_i, || {
+        plans.iter().map(|p| p.predict()).sum::<f64>()
+    });
     let legacy = bench("predict/legacy_sweep", fast_w, fast_i, || {
         pairs
             .iter()
@@ -240,10 +263,12 @@ fn run(smoke: bool) -> Report {
 
     let warm_ns_per_kernel = warm.median_ns / sweep_kernel_terms as f64;
     let warm_vs_legacy_speedup = legacy.median_ns / warm.median_ns;
+    let workflow_over_sweep = warm.median_ns / plan_sweep.median_ns;
     let train_speedup_threads8 = t1.median_ns / t8.median_ns;
     entries.insert(1, t1);
     entries.insert(2, t8);
     entries.push(warm);
+    entries.push(plan_sweep);
     entries.push(legacy);
 
     Report {
@@ -253,6 +278,7 @@ fn run(smoke: bool) -> Report {
         sweep_kernel_terms,
         warm_ns_per_kernel,
         warm_vs_legacy_speedup,
+        workflow_over_sweep,
         train_speedup_threads8,
         entries,
     }
@@ -463,6 +489,10 @@ fn main() {
         report.warm_ns_per_kernel, report.sweep_kernel_terms, report.sweep_pairs
     );
     println!(
+        "workflow over plan sweep: {:.2}x",
+        report.workflow_over_sweep
+    );
+    println!(
         "warm vs legacy speedup: {:.2}x   train speedup (8 threads, {} core{}): {:.2}x",
         report.warm_vs_legacy_speedup,
         report.cores,
@@ -497,12 +527,24 @@ fn main() {
             );
             failed = true;
         }
+        if report.workflow_over_sweep > MAX_WORKFLOW_OVER_SWEEP {
+            eprintln!(
+                "GATE FAIL: warm Workflow::predict sweep is {:.2}x the plan sweep, \
+                 above the {MAX_WORKFLOW_OVER_SWEEP}x ceiling",
+                report.workflow_over_sweep
+            );
+            failed = true;
+        }
         if failed {
             std::process::exit(1);
         }
         println!(
-            "gate OK: {:.1} ns/kernel (limit {:.1}), speedup {:.2}x (floor {MIN_WARM_SPEEDUP}x)",
-            report.warm_ns_per_kernel, limit, report.warm_vs_legacy_speedup
+            "gate OK: {:.1} ns/kernel (limit {:.1}), speedup {:.2}x (floor {MIN_WARM_SPEEDUP}x), \
+             workflow/sweep {:.2}x (ceiling {MAX_WORKFLOW_OVER_SWEEP}x)",
+            report.warm_ns_per_kernel,
+            limit,
+            report.warm_vs_legacy_speedup,
+            report.workflow_over_sweep
         );
     }
 }

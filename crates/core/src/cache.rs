@@ -12,8 +12,9 @@
 //!   a reused cache *structurally cannot* serve plans compiled against
 //!   retired models, and the retired entries simply age out under the
 //!   budget;
-//! * the **network fingerprint** ([`network_fingerprint`]) hashes the
-//!   full layer structure, so two different networks never alias;
+//! * the **network fingerprint** ([`Network::fingerprint`]) hashes the
+//!   full layer structure, so two different networks never alias; each
+//!   network memoizes it, so a warm lookup never re-walks the layers;
 //! * the **batch** completes the request identity.
 //!
 //! Each shard runs LRU eviction under a per-shard slice of the
@@ -27,8 +28,9 @@
 //! once per residency.
 
 use crate::error::PredictError;
-use crate::plan::{fnv1a, network_fingerprint, CompiledPlan, FNV_OFFSET};
+use crate::plan::CompiledPlan;
 use crate::workflow::Workflow;
+use dnnperf_dnn::fingerprint::{fnv1a, FNV_OFFSET};
 use dnnperf_dnn::Network;
 use dnnperf_sched::sync::{lock_unpoisoned, wait_unpoisoned};
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,7 +54,7 @@ impl PlanKey {
     fn of(suite: &Workflow, net: &Network, batch: usize) -> Self {
         PlanKey {
             generation: suite.generation(),
-            fingerprint: network_fingerprint(net),
+            fingerprint: net.fingerprint(),
             batch,
         }
     }

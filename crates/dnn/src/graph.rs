@@ -11,6 +11,7 @@ use crate::flops::{layer_bytes, layer_flops, layer_params};
 use crate::layer::Layer;
 use crate::shape::TensorShape;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The structural family a network belongs to (used for plotting Figure 4 and
 /// for zoo bookkeeping; never consulted by the predictors).
@@ -57,12 +58,40 @@ impl fmt::Display for Family {
 }
 
 /// A complete inference workload: named, family-tagged, shape-resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Immutable once built: every accessor takes `&self`, so the structural
+/// [`Network::fingerprint`] is computed at most once and memoized.
+#[derive(Clone)]
 pub struct Network {
     name: String,
     family: Family,
     input: TensorShape,
     layers: Vec<Layer>,
+    /// Lazily computed [`Network::fingerprint`]; a cache, not part of
+    /// the network's identity (equality and `Debug` ignore it).
+    fingerprint: OnceLock<u64>,
+}
+
+impl PartialEq for Network {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.family == other.family
+            && self.input == other.input
+            && self.layers == other.layers
+    }
+}
+
+impl Eq for Network {}
+
+impl fmt::Debug for Network {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Network")
+            .field("name", &self.name)
+            .field("family", &self.family)
+            .field("input", &self.input)
+            .field("layers", &self.layers)
+            .finish()
+    }
 }
 
 impl Network {
@@ -79,6 +108,7 @@ impl Network {
             family,
             input,
             layers,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -105,6 +135,16 @@ impl Network {
     /// Number of layers.
     pub fn num_layers(&self) -> usize {
         self.layers.len()
+    }
+
+    /// Structural fingerprint: a hash of the name and every layer's full
+    /// structure (see [`crate::fingerprint`]). Two networks built the
+    /// same way fingerprint equal. Computed on first call and memoized,
+    /// so repeat calls (every plan-cache lookup) cost one atomic load.
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| crate::fingerprint::network_fingerprint(self))
     }
 
     /// Total theoretical FLOPs per sample (sum over layers).
@@ -187,5 +227,58 @@ mod tests {
     fn display_mentions_name_and_layers() {
         let s = tiny().to_string();
         assert!(s.contains("Tiny") && s.contains("2 layers"));
+    }
+
+    #[test]
+    fn fingerprint_is_memoized_and_clones_carry_the_memo() {
+        let n = tiny();
+        assert_eq!(n.fingerprint.get(), None, "from_parts must not hash");
+        let fp = n.fingerprint();
+        assert_eq!(n.fingerprint.get(), Some(&fp));
+        assert_eq!(fp, crate::fingerprint::network_fingerprint(&n));
+        let c = n.clone();
+        assert_eq!(c.fingerprint.get(), Some(&fp));
+        assert_eq!(c.fingerprint(), fp);
+    }
+
+    #[test]
+    fn equality_ignores_memo_state() {
+        let warm = tiny();
+        warm.fingerprint();
+        let cold = tiny();
+        assert!(warm.fingerprint.get().is_some() && cold.fingerprint.get().is_none());
+        assert_eq!(warm, cold);
+        assert_eq!(cold, warm);
+    }
+
+    #[test]
+    fn debug_omits_the_memo() {
+        let n = tiny();
+        let before = format!("{n:?}");
+        n.fingerprint();
+        let after = format!("{n:?}");
+        assert_eq!(before, after);
+        assert!(!after.contains("fingerprint"), "{after}");
+        assert!(after.starts_with("Network { name: \"Tiny\", family: Custom"));
+    }
+
+    #[test]
+    fn racing_first_calls_agree() {
+        let n = crate::zoo::densenet::densenet121();
+        let want = crate::fingerprint::network_fingerprint(&n);
+        let barrier = std::sync::Barrier::new(8);
+        let got: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        n.fingerprint()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(got, vec![want; 8]);
+        assert_eq!(n.fingerprint.get(), Some(&want));
     }
 }

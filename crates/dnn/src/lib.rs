@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod fingerprint;
 pub mod flops;
 pub mod graph;
 pub mod layer;

@@ -9,7 +9,10 @@
 //!   any `Read + Write` stream that tears frames into byte-sized writes,
 //!   corrupts payload bytes in transit, stalls before sending, or
 //!   disconnects mid-frame (after the length prefix, before the payload —
-//!   the worst case for a framed protocol). Decisions are keyed by
+//!   the worst case for a framed protocol). Faults attach to byte
+//!   offsets within a frame, not to `write` calls, so they land on the
+//!   same bytes whether a sender writes a frame in one call (as
+//!   `write_frame` does) or several. Decisions are keyed by
 //!   `(seed, stream id, frame index)`, so a chaos run replays the exact
 //!   same fault schedule on every machine and the injected-fault counters
 //!   are byte-identical across runs.
@@ -226,6 +229,9 @@ impl TransportFaultStats {
     }
 }
 
+/// Length of the big-endian frame length prefix.
+const PREFIX_BYTES: usize = 4;
+
 /// A `Read + Write` wrapper that injects the faults a
 /// [`TransportFaultPlan`] schedules, behind the exact traits
 /// `read_frame`/`write_frame` already use — the protocol code under test
@@ -233,9 +239,17 @@ impl TransportFaultStats {
 ///
 /// Frame boundaries are tracked on the write side: `write_frame` ends
 /// every frame with a `flush`, so the first `write` after a flush opens
-/// frame `n+1` and draws that frame's fault. Within a frame, the first
-/// write carries the 4-byte length prefix and the second carries the
-/// payload, which is where corruption and mid-frame disconnects attach.
+/// frame `n+1` and draws that frame's fault. Within a frame, faults
+/// attach to *byte offsets*, not to `write` calls, so a sender that
+/// ships the prefix and payload in one write and one that splits them
+/// see the same fault:
+///
+/// * the payload length is read from the 4 prefix bytes as they pass;
+/// * [`TransportFault::Corrupt`] flips frame byte
+///   `4 + corrupt_position(stream, frame, payload_len)` in whichever
+///   write carries it;
+/// * [`TransportFault::Disconnect`] forwards exactly the 4 prefix bytes,
+///   then fails every later write.
 #[derive(Debug)]
 pub struct FaultyTransport<S> {
     inner: S,
@@ -243,10 +257,17 @@ pub struct FaultyTransport<S> {
     stream_id: u64,
     frame: u32,
     frame_open: bool,
-    writes_in_frame: u32,
+    /// Bytes of the current frame delivered to `inner` so far.
+    frame_bytes: usize,
+    /// The current frame's length prefix, filled as its bytes pass.
+    prefix: [u8; PREFIX_BYTES],
     active: Option<TransportFault>,
     dead: bool,
     stats: TransportFaultStats,
+}
+
+fn injected_disconnect() -> std::io::Error {
+    std::io::Error::new(ErrorKind::BrokenPipe, "injected disconnect")
 }
 
 impl<S: Read + Write> FaultyTransport<S> {
@@ -260,7 +281,8 @@ impl<S: Read + Write> FaultyTransport<S> {
             stream_id,
             frame: 0,
             frame_open: false,
-            writes_in_frame: 0,
+            frame_bytes: 0,
+            prefix: [0; PREFIX_BYTES],
             active: None,
             dead: false,
             stats: TransportFaultStats::default(),
@@ -287,7 +309,7 @@ impl<S: Read + Write> FaultyTransport<S> {
             return;
         }
         self.frame_open = true;
-        self.writes_in_frame = 0;
+        self.frame_bytes = 0;
         self.active = self.plan.decide(self.stream_id, self.frame);
         match self.active {
             Some(TransportFault::Torn) => self.stats.torn += 1,
@@ -301,15 +323,35 @@ impl<S: Read + Write> FaultyTransport<S> {
         }
         self.frame += 1;
     }
+
+    /// Records the prefix bytes `buf` carries at the current frame
+    /// offset. A partially delivered buffer is re-offered by the caller
+    /// at the same offset with the same bytes, so noting before delivery
+    /// is safe.
+    fn note_prefix(&mut self, buf: &[u8]) {
+        for (slot, b) in self.prefix.iter_mut().skip(self.frame_bytes).zip(buf) {
+            *slot = *b;
+        }
+    }
+
+    /// Index within `buf` of the byte a [`TransportFault::Corrupt`]
+    /// frame damages, if this write carries it. Only called after
+    /// [`Self::note_prefix`], so a buffer that reaches the payload has
+    /// completed the prefix.
+    fn corrupt_index(&self, buf: &[u8]) -> Option<usize> {
+        let payload_len = u32::from_be_bytes(self.prefix) as usize;
+        let at = PREFIX_BYTES
+            + self
+                .plan
+                .corrupt_position(self.stream_id, self.frame.wrapping_sub(1), payload_len);
+        at.checked_sub(self.frame_bytes).filter(|&i| i < buf.len())
+    }
 }
 
 impl<S: Read + Write> Read for FaultyTransport<S> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if self.dead {
-            return Err(std::io::Error::new(
-                ErrorKind::BrokenPipe,
-                "injected disconnect",
-            ));
+            return Err(injected_disconnect());
         }
         // Tearing applies to reads of the *current* fault window too: one
         // byte per call exercises partial-read handling in read_frame.
@@ -328,53 +370,44 @@ impl<S: Read + Write> Read for FaultyTransport<S> {
 impl<S: Read + Write> Write for FaultyTransport<S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         if self.dead {
-            return Err(std::io::Error::new(
-                ErrorKind::BrokenPipe,
-                "injected disconnect",
-            ));
+            return Err(injected_disconnect());
         }
         self.open_frame();
-        self.writes_in_frame += 1;
-        match self.active {
-            // Mid-frame disconnect: the length prefix (write 1) goes out,
-            // the payload never follows — the receiver holds a torn frame.
-            Some(TransportFault::Disconnect) if self.writes_in_frame >= 2 => {
-                self.dead = true;
-                Err(std::io::Error::new(
-                    ErrorKind::BrokenPipe,
-                    "injected disconnect",
-                ))
-            }
-            Some(TransportFault::Torn) => {
-                let n = self.inner.write(buf.get(..1).unwrap_or(buf))?;
-                Ok(n)
-            }
-            Some(TransportFault::Corrupt) if self.writes_in_frame == 2 => {
-                // Flip one payload byte; the prefix stays intact so the
-                // receiver gets a complete, garbled frame to reject.
-                let mut damaged = buf.to_vec();
-                let pos = self.plan.corrupt_position(
-                    self.stream_id,
-                    self.frame.wrapping_sub(1),
-                    damaged.len(),
-                );
-                if let Some(b) = damaged.get_mut(pos) {
-                    *b ^= 0x04;
+        self.note_prefix(buf);
+        let n = match self.active {
+            // Mid-frame disconnect: the length prefix goes out, the
+            // payload never follows — the receiver holds a torn frame.
+            Some(TransportFault::Disconnect) => {
+                let rest = PREFIX_BYTES.saturating_sub(self.frame_bytes);
+                if rest == 0 {
+                    self.dead = true;
+                    return Err(injected_disconnect());
                 }
-                let n = self.inner.write(&damaged)?;
-                Ok(n)
+                self.inner.write(buf.get(..rest).unwrap_or(buf))?
             }
-            _ => self.inner.write(buf),
-        }
+            Some(TransportFault::Torn) => self.inner.write(buf.get(..1).unwrap_or(buf))?,
+            // Flip one payload byte; the prefix stays intact so the
+            // receiver gets a complete, garbled frame to reject.
+            Some(TransportFault::Corrupt) => match self.corrupt_index(buf) {
+                Some(i) => {
+                    let mut damaged = buf.to_vec();
+                    if let Some(b) = damaged.get_mut(i) {
+                        *b ^= 0x04;
+                    }
+                    self.inner.write(&damaged)?
+                }
+                None => self.inner.write(buf)?,
+            },
+            _ => self.inner.write(buf)?,
+        };
+        self.frame_bytes += n;
+        Ok(n)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         self.frame_open = false;
         if self.dead {
-            return Err(std::io::Error::new(
-                ErrorKind::BrokenPipe,
-                "injected disconnect",
-            ));
+            return Err(injected_disconnect());
         }
         self.inner.flush()
     }
@@ -569,6 +602,71 @@ mod tests {
         let mut buf = [0u8; 1];
         assert!(t.read(&mut buf).is_err());
         assert!(t.write(b"x").is_err());
+    }
+
+    fn only(kinds: TransportFaultKinds, seed: u64) -> TransportFaultPlan {
+        let mut plan = TransportFaultPlan::chaos(seed, 1.0);
+        plan.kinds = kinds;
+        plan
+    }
+
+    const NO_FAULTS: TransportFaultKinds = TransportFaultKinds {
+        torn: false,
+        corrupt: false,
+        stall: false,
+        disconnect: false,
+    };
+
+    /// Writes `payload` as a frame in two `write_all` calls: the prefix,
+    /// then the payload.
+    fn write_split_frame<W: Write>(w: &mut W, payload: &str) -> std::io::Result<()> {
+        w.write_all(&(payload.len() as u32).to_be_bytes())?;
+        w.write_all(payload.as_bytes())?;
+        w.flush()
+    }
+
+    #[test]
+    fn one_and_two_write_framings_corrupt_the_same_byte() {
+        let corrupt = TransportFaultKinds {
+            corrupt: true,
+            ..NO_FAULTS
+        };
+        for seed in 0..16u64 {
+            let payload = "predict\ttenant\tResNet-50\t32";
+            let mut one = FaultyTransport::new(looped(Vec::new()), only(corrupt, seed), 4);
+            crate::protocol::write_frame(&mut one, payload).unwrap();
+            let mut two = FaultyTransport::new(looped(Vec::new()), only(corrupt, seed), 4);
+            write_split_frame(&mut two, payload).unwrap();
+            assert_eq!(one.inner.output, two.inner.output, "seed {seed}");
+            assert_eq!((one.stats().corrupted, two.stats().corrupted), (1, 1));
+            // The damaged byte is the planned payload position.
+            let at = 4 + one.plan.corrupt_position(4, 0, payload.len());
+            let mut want = (payload.len() as u32).to_be_bytes().to_vec();
+            want.extend_from_slice(payload.as_bytes());
+            if let Some(b) = want.get_mut(at) {
+                *b ^= 0x04;
+            }
+            assert_eq!(one.inner.output, want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn disconnect_delivers_exactly_the_prefix_under_either_framing() {
+        let disconnect = TransportFaultKinds {
+            disconnect: true,
+            ..NO_FAULTS
+        };
+        let payload = "predict\ttenant\tVGG-11\t8";
+        let prefix = (payload.len() as u32).to_be_bytes().to_vec();
+        let mut one = FaultyTransport::new(looped(Vec::new()), only(disconnect, 6), 5);
+        assert!(crate::protocol::write_frame(&mut one, payload).is_err());
+        let mut two = FaultyTransport::new(looped(Vec::new()), only(disconnect, 6), 5);
+        assert!(write_split_frame(&mut two, payload).is_err());
+        for t in [&one, &two] {
+            assert!(t.is_dead());
+            assert_eq!(t.stats().disconnected, 1);
+            assert_eq!(t.inner.output, prefix);
+        }
     }
 
     #[test]

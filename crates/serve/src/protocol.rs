@@ -148,6 +148,11 @@ impl From<std::io::Error> for WireError {
 
 /// Writes one length-prefixed frame.
 ///
+/// The prefix and payload are assembled into one buffer and handed to a
+/// single `write_all`, so on a healthy socket a frame costs one `write`
+/// syscall and (with `TCP_NODELAY`) leaves as one segment rather than a
+/// 4-byte prefix segment followed by the payload.
+///
 /// # Errors
 ///
 /// [`WireError::FrameTooLarge`] when `payload` exceeds the cap, or the
@@ -157,9 +162,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), WireError> 
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(WireError::FrameTooLarge(bytes.len()));
     }
-    let len = (bytes.len() as u32).to_be_bytes();
-    w.write_all(&len)?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -577,6 +583,37 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "predict\tt\tn\t8");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "stats");
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// A healthy writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_call() {
+        let payload = "predict\ttenant\tResNet-50\t32";
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, payload).unwrap();
+        assert_eq!(w.writes.len(), 1, "prefix and payload share one write");
+        let mut want = (payload.len() as u32).to_be_bytes().to_vec();
+        want.extend_from_slice(payload.as_bytes());
+        assert_eq!(w.writes[0], want);
+        // An empty payload is still exactly one write: the bare prefix.
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, "").unwrap();
+        assert_eq!(w.writes, vec![vec![0u8; 4]]);
     }
 
     #[test]

@@ -502,7 +502,15 @@ impl PredictionServer {
     }
 
     /// Adds networks to the catalog clients can request by name.
+    ///
+    /// Each network's fingerprint is memoized here, before the catalog
+    /// lock is taken, so not even the first request for a network pays
+    /// the per-layer hash on the serving path.
     pub fn add_networks<I: IntoIterator<Item = Network>>(&self, nets: I) {
+        let nets: Vec<Network> = nets.into_iter().collect();
+        for net in &nets {
+            net.fingerprint();
+        }
         let mut catalog = write_unpoisoned(&self.inner.catalog);
         for net in nets {
             catalog.insert(net.name().to_string(), Arc::new(net));

@@ -5,6 +5,13 @@
 //! port, read it back with [`TcpServer::addr`]) and spawns one accept
 //! thread; each accepted connection gets its own handler thread that
 //! loops `read_frame -> handle -> write_frame` until the client closes.
+//! The accept loop releases finished handler threads on every accept, so
+//! closed connections cost no address space however many came before.
+//! Each side moves a frame in one syscall: [`write_frame`] sends prefix
+//! and payload as a single `write`, and both the handler and [`Client`]
+//! read through a `BufReader` kept for the life of the connection, so a
+//! frame's prefix and payload arrive in one `read` and bytes read ahead
+//! (pipelined frames) carry over to the next frame.
 //! Shutdown is cooperative: a shared flag is set, the accept loop is
 //! unblocked with a throwaway self-connection, and handler threads
 //! notice the flag via a short socket read timeout — no thread is ever
@@ -29,7 +36,7 @@ use crate::protocol::{
 use crate::server::{Pending, PredictionServer, Reply, ServeError};
 use dnnperf_sched::sync::lock_unpoisoned;
 use dnnperf_sched::{retry_with_backoff, Clock, RetryClass, RetryPolicy, SystemClock};
-use std::io::ErrorKind;
+use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -140,7 +147,7 @@ fn handle_request(server: &PredictionServer, req: &Request) -> Response {
 
 fn handle_connection(
     server: &PredictionServer,
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     stop: &AtomicBool,
     cfg: &TcpConfig,
 ) {
@@ -149,13 +156,19 @@ fn handle_connection(
     // same timeout, so read_frame_deadline needs no extra pause.
     let _ = stream.set_read_timeout(Some(cfg.poll));
     let _ = stream.set_nodelay(true);
+    // One buffer for the life of the connection: a frame's prefix and
+    // payload (and any pipelined frames behind it) arrive in one `read`
+    // syscall, and bytes read ahead carry over to the next frame.
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     let clock = SystemClock;
     let mut idle_since = clock.now();
     loop {
         if stop.load(Ordering::Acquire) {
             return;
         }
-        let frame = match read_frame_deadline(stream, &clock, cfg.frame_timeout, Duration::ZERO) {
+        let read = read_frame_deadline(&mut reader, &clock, cfg.frame_timeout, Duration::ZERO);
+        let frame = match read {
             Ok(FrameRead::Frame(f)) => f,
             Ok(FrameRead::Closed) => return, // clean client close
             Ok(FrameRead::Idle) => {
@@ -169,7 +182,7 @@ fn handle_connection(
             Err(e @ (WireError::Malformed(_) | WireError::FrameTooLarge(_))) => {
                 // Tell a confused (not just dead) peer why, best-effort,
                 // then drop the corrupt stream.
-                let _ = write_frame(stream, &Response::Error(e.to_string()).format());
+                let _ = write_frame(&mut writer, &Response::Error(e.to_string()).format());
                 return;
             }
             Err(_) => return,
@@ -178,7 +191,7 @@ fn handle_connection(
             Ok(req) => handle_request(server, &req),
             Err(e) => Response::Error(e.to_string()),
         };
-        if write_frame(stream, &response.format()).is_err() {
+        if write_frame(&mut writer, &response.format()).is_err() {
             return;
         }
         idle_since = clock.now();
@@ -217,12 +230,18 @@ impl TcpServer {
                 if accept_stop.load(Ordering::Acquire) {
                     break;
                 }
-                let Ok(mut stream) = conn else { continue };
+                // Reap handlers whose connection has closed: a finished
+                // but unjoined thread keeps its stack mapped, so holding
+                // every handle until shutdown would grow the process by
+                // one stack per connection ever accepted. Dropping a
+                // finished handle detaches the thread and frees it.
+                handlers.retain(|h| !h.is_finished());
+                let Ok(stream) = conn else { continue };
                 let server = Arc::clone(&server);
                 let stop = Arc::clone(&accept_stop);
                 let cfg = cfg.clone();
                 handlers.push(std::thread::spawn(move || {
-                    handle_connection(&server, &mut stream, &stop, &cfg);
+                    handle_connection(&server, &stream, &stop, &cfg);
                 }));
             }
             for h in handlers {
@@ -306,11 +325,15 @@ fn transient(e: &WireError) -> bool {
 /// under the [`RetryPolicy`] it was built with. Predictions are
 /// idempotent reads, so resending is always safe. When the policy is
 /// exhausted the call fails with [`WireError::Exhausted`].
+///
+/// Responses are read through a buffer, so a frame's prefix and payload
+/// cost one `read` syscall; requests are written straight to the socket
+/// as one `write`.
 #[derive(Debug)]
 pub struct Client {
     addr: SocketAddr,
     policy: RetryPolicy,
-    stream: Option<TcpStream>,
+    stream: Option<BufReader<TcpStream>>,
 }
 
 impl Client {
@@ -343,7 +366,7 @@ impl Client {
         Ok(Client {
             addr,
             policy,
-            stream: Some(stream),
+            stream: Some(BufReader::new(stream)),
         })
     }
 
@@ -351,11 +374,11 @@ impl Client {
         if self.stream.is_none() {
             let stream = TcpStream::connect(self.addr).map_err(WireError::Io)?;
             let _ = stream.set_nodelay(true);
-            self.stream = Some(stream);
+            self.stream = Some(BufReader::new(stream));
         }
         let result = match self.stream.as_mut() {
             Some(stream) => {
-                write_frame(stream, payload).and_then(|()| match read_frame(stream)? {
+                write_frame(stream.get_mut(), payload).and_then(|()| match read_frame(stream)? {
                     Some(line) => Response::parse(&line),
                     // Mid-request close: surface as a retriable
                     // transport fault, not a protocol error.
@@ -371,7 +394,8 @@ impl Client {
             ))),
         };
         if result.is_err() {
-            // Any failure poisons the framing state; reconnect next try.
+            // Any failure poisons the framing state; drop the socket and
+            // whatever its buffer holds, and reconnect next try.
             self.stream = None;
         }
         result

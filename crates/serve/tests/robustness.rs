@@ -424,3 +424,94 @@ fn client_retries_reconnect_and_give_up_typed() {
     drop(client);
     handle.join().unwrap();
 }
+
+#[test]
+fn pipelined_frames_in_one_write_are_answered_in_order() {
+    let server = Arc::new(PredictionServer::start(&config(2, 32)));
+    server.register_tenant("t", train_suite());
+    server.add_networks(small_nets());
+    let tcp = TcpServer::serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
+    let nets = small_nets();
+    let asks = [(&nets[0], 1usize), (&nets[1], 8), (&nets[0], 8)];
+    let want: Vec<u64> = asks
+        .iter()
+        .map(|(net, batch)| server.predict("t", net.name(), *batch).unwrap().to_bits())
+        .collect();
+    // Distinct answers, so a reordered reply cannot pass.
+    assert!(want[0] != want[1] && want[1] != want[2] && want[0] != want[2]);
+
+    // Every frame goes out in one write, so the server's first read
+    // buffers all of them: the frames behind the first must carry over
+    // in its connection buffer rather than be lost.
+    let mut bytes = Vec::new();
+    for (net, batch) in asks {
+        let req = Request::Predict {
+            tenant: "t".into(),
+            network: net.name().into(),
+            batch,
+            deadline_ms: None,
+        };
+        write_frame(&mut bytes, &req.format()).unwrap();
+    }
+    let mut stream = TcpStream::connect(tcp.addr()).unwrap();
+    assert_eq!(stream.write(&bytes).unwrap(), bytes.len());
+    for bits in want {
+        let line = read_frame(&mut stream).unwrap().unwrap();
+        match Response::parse(&line).unwrap() {
+            Response::Ok { seconds, .. } => assert_eq!(seconds.to_bits(), bits),
+            other => panic!("expected ok, got {other:?}"),
+        }
+    }
+    drop(stream);
+    tcp.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn client_reconnects_after_a_mid_call_hangup_with_bit_identical_answers() {
+    let server = Arc::new(PredictionServer::start(&config(2, 32)));
+    server.register_tenant("t", train_suite());
+    server.add_networks(small_nets());
+    let tcp = TcpServer::serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
+    let upstream = tcp.addr();
+
+    // A front end whose first connection reads the request, sends back
+    // half a response frame and hangs up; the second connection relays
+    // every frame to the real server.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let front = listener.local_addr().unwrap();
+    let relay = std::thread::spawn(move || {
+        for i in 0..2 {
+            let Ok((mut down, _)) = listener.accept() else {
+                return;
+            };
+            if i == 0 {
+                let _ = read_frame(&mut down);
+                let _ = down.write_all(&[0, 0, 0, 20, b'o', b'k']);
+                continue; // dropped mid-response
+            }
+            let mut up = TcpStream::connect(upstream).unwrap();
+            while let Ok(Some(req)) = read_frame(&mut down) {
+                write_frame(&mut up, &req).unwrap();
+                let resp = read_frame(&mut up).unwrap().unwrap();
+                write_frame(&mut down, &resp).unwrap();
+            }
+        }
+    });
+
+    // The torn response must leave nothing behind: the failed call drops
+    // the socket together with its read buffer, and every answer on the
+    // fresh connection decodes to the in-process prediction exactly.
+    let mut client = Client::connect_with(front, RetryPolicy::fast(3, 17)).unwrap();
+    for net in small_nets() {
+        for batch in [1usize, 8] {
+            let got = client.predict("t", net.name(), batch).unwrap();
+            let want = server.predict("t", net.name(), batch).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{} @ {batch}", net.name());
+        }
+    }
+    drop(client);
+    relay.join().unwrap();
+    tcp.shutdown();
+    server.shutdown();
+}
