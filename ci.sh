@@ -74,8 +74,11 @@ echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
 # sweep must stay at least 5x faster than the uncompiled legacy path, and
 # the warm Workflow::predict sweep (fingerprint + cache lookup + sweep)
 # may cost at most 2x the same sweep over precompiled plans
-# (workflow_over_sweep, an absolute machine-relative ceiling that reads no
-# baseline figure).
+# (workflow_over_sweep), and the same warm sweep through an in-process
+# PredictionServer::predict (cache hits answered on the caller's thread)
+# may cost at most 4x the Workflow::predict sweep (server_over_workflow).
+# Both ratios are absolute machine-relative ceilings that read no
+# baseline figure.
 # Release build: the baseline was captured in release, and the tier-1 step
 # above has already built it.
 cargo run --release --offline -q -p dnnperf-bench --bin perf -- --smoke --check BENCH_5.json

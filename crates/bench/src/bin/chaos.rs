@@ -296,6 +296,7 @@ fn run_transport(suite: &Arc<Workflow>, smoke: bool) -> TransportOutcome {
             idle_timeout: Duration::from_secs(10),
             frame_timeout: Duration::from_secs(1),
             poll: Duration::from_millis(20),
+            ..TcpConfig::default()
         },
     )
     .expect("bind ephemeral port");

@@ -3,7 +3,7 @@
 //! Measures the four stages the compiled-plan work optimises — full-grid
 //! dataset collection, model training (serial vs pooled), plan
 //! compilation, and cold/warm/legacy prediction sweeps — with the in-tree
-//! timer (untimed warmup, median-of-k summaries). Three derived figures
+//! timer (untimed warmup, median-of-k summaries). These derived figures
 //! anchor the regression gate:
 //!
 //! * **warm-predict ns/kernel** — the serving hot path: median sweep time
@@ -16,6 +16,10 @@
 //!   on plans compiled up front (plan sweep alone): the cost of the layer
 //!   a caller hits relative to the layer below it. A ratio, so it travels
 //!   across hardware too;
+//! * **server over workflow** — the same warm sweep through an in-process
+//!   [`PredictionServer::predict`] (tenant and catalog resolution,
+//!   admission, inline cache hit) over the warm `Workflow::predict`
+//!   sweep: what the serving layer adds on top of the layer below it;
 //! * **train speedup at 8 threads** — pooled vs serial KW training. The
 //!   training pool clamps its worker count to the machine's cores, so on
 //!   a single-core container this reads ~1.0 (graceful degradation, not
@@ -41,8 +45,9 @@
 //!   or BENCH_9.json with `--train-scaling`);
 //! * `--check PATH` — re-measure, then gate against a committed baseline:
 //!   fail (exit 1) if warm-predict ns/kernel regressed by more than 2x, if
-//!   the warm-vs-legacy speedup fell below 5x, or if the workflow-over-sweep
-//!   ratio rose above 2x (an absolute ceiling; the baseline's figure is not
+//!   the warm-vs-legacy speedup fell below 5x, if the workflow-over-sweep
+//!   ratio rose above 2x, or if the server-over-workflow ratio rose above
+//!   4x (both absolute ceilings; the baseline's figures are not
 //!   consulted). With `--train-scaling`:
 //!   fail if the 8-thread train speedup is below 2x (cores permitting) or
 //!   if serial training ns/row regressed by more than 2x.
@@ -55,6 +60,8 @@ use dnnperf_data::collect::collect;
 use dnnperf_data::DatasetView;
 use dnnperf_dnn::{zoo, Network};
 use dnnperf_gpu::GpuSpec;
+use dnnperf_serve::{PredictionServer, ServerConfig};
+use std::sync::Arc;
 
 /// Maximum tolerated regression of warm-predict ns/kernel vs the baseline.
 const MAX_NS_PER_KERNEL_REGRESSION: f64 = 2.0;
@@ -64,6 +71,10 @@ const MIN_WARM_SPEEDUP: f64 = 5.0;
 /// same sweep over precompiled plans: the fingerprint and cache lookup may
 /// at most double the cost of the plan sweep they front.
 const MAX_WORKFLOW_OVER_SWEEP: f64 = 2.0;
+/// Maximum tolerated ratio of the warm in-process server sweep to the warm
+/// `Workflow::predict` sweep: a warm hit is answered on the caller's
+/// thread, so resolution and admission may at most quadruple the cost.
+const MAX_SERVER_OVER_WORKFLOW: f64 = 4.0;
 /// Minimum tolerated 8-thread training speedup — only enforced on machines
 /// with at least [`MIN_CORES_FOR_SPEEDUP_GATE`] cores.
 const MIN_TRAIN_SPEEDUP_THREADS8: f64 = 2.0;
@@ -151,6 +162,7 @@ struct Report {
     warm_ns_per_kernel: f64,
     warm_vs_legacy_speedup: f64,
     workflow_over_sweep: f64,
+    server_over_workflow: f64,
     train_speedup_threads8: f64,
     entries: Vec<BenchResult>,
 }
@@ -178,6 +190,10 @@ impl Report {
         out.push_str(&format!(
             "  \"workflow_over_sweep\": {:.2},\n",
             self.workflow_over_sweep
+        ));
+        out.push_str(&format!(
+            "  \"server_over_workflow\": {:.2},\n",
+            self.server_over_workflow
         ));
         out.push_str(&format!(
             "  \"train_speedup_threads8\": {:.2},\n",
@@ -218,7 +234,7 @@ fn run(smoke: bool) -> Report {
         Workflow::train_opts(&ds, "A100", &TrainOptions::with_threads(8)).expect("train")
     });
 
-    let suite = Workflow::train(&ds, "A100").expect("train");
+    let suite = Arc::new(Workflow::train(&ds, "A100").expect("train"));
     let pairs = sweep_pairs();
     let sweep_kernel_terms: usize = pairs
         .iter()
@@ -247,6 +263,24 @@ fn run(smoke: bool) -> Report {
             .map(|(n, b)| suite.predict(n, *b).expect("predict"))
             .sum::<f64>()
     });
+    // The same sweep through the in-process server, after one pre-warm
+    // pass (all misses, compiled by the workers): every timed request is
+    // a cache hit answered on this thread.
+    let server = PredictionServer::start(&ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    server.register_tenant("perf", Arc::clone(&suite));
+    server.add_networks(pairs.iter().map(|(n, _)| n.clone()));
+    let server_sweep_once = || {
+        pairs
+            .iter()
+            .map(|(n, b)| server.predict("perf", n.name(), *b).expect("serve"))
+            .sum::<f64>()
+    };
+    server_sweep_once();
+    let server_sweep = bench("predict/server_sweep", fast_w, fast_i, server_sweep_once);
+    server.shutdown();
     let plans: Vec<_> = pairs
         .iter()
         .map(|(n, b)| suite.plan(n, *b).expect("plan"))
@@ -264,10 +298,12 @@ fn run(smoke: bool) -> Report {
     let warm_ns_per_kernel = warm.median_ns / sweep_kernel_terms as f64;
     let warm_vs_legacy_speedup = legacy.median_ns / warm.median_ns;
     let workflow_over_sweep = warm.median_ns / plan_sweep.median_ns;
+    let server_over_workflow = server_sweep.median_ns / warm.median_ns;
     let train_speedup_threads8 = t1.median_ns / t8.median_ns;
     entries.insert(1, t1);
     entries.insert(2, t8);
     entries.push(warm);
+    entries.push(server_sweep);
     entries.push(plan_sweep);
     entries.push(legacy);
 
@@ -279,6 +315,7 @@ fn run(smoke: bool) -> Report {
         warm_ns_per_kernel,
         warm_vs_legacy_speedup,
         workflow_over_sweep,
+        server_over_workflow,
         train_speedup_threads8,
         entries,
     }
@@ -489,8 +526,8 @@ fn main() {
         report.warm_ns_per_kernel, report.sweep_kernel_terms, report.sweep_pairs
     );
     println!(
-        "workflow over plan sweep: {:.2}x",
-        report.workflow_over_sweep
+        "workflow over plan sweep: {:.2}x   server over workflow: {:.2}x",
+        report.workflow_over_sweep, report.server_over_workflow
     );
     println!(
         "warm vs legacy speedup: {:.2}x   train speedup (8 threads, {} core{}): {:.2}x",
@@ -535,16 +572,26 @@ fn main() {
             );
             failed = true;
         }
+        if report.server_over_workflow > MAX_SERVER_OVER_WORKFLOW {
+            eprintln!(
+                "GATE FAIL: warm in-process server sweep is {:.2}x the Workflow::predict \
+                 sweep, above the {MAX_SERVER_OVER_WORKFLOW}x ceiling",
+                report.server_over_workflow
+            );
+            failed = true;
+        }
         if failed {
             std::process::exit(1);
         }
         println!(
             "gate OK: {:.1} ns/kernel (limit {:.1}), speedup {:.2}x (floor {MIN_WARM_SPEEDUP}x), \
-             workflow/sweep {:.2}x (ceiling {MAX_WORKFLOW_OVER_SWEEP}x)",
+             workflow/sweep {:.2}x (ceiling {MAX_WORKFLOW_OVER_SWEEP}x), \
+             server/workflow {:.2}x (ceiling {MAX_SERVER_OVER_WORKFLOW}x)",
             report.warm_ns_per_kernel,
             limit,
             report.warm_vs_legacy_speedup,
-            report.workflow_over_sweep
+            report.workflow_over_sweep,
+            report.server_over_workflow
         );
     }
 }

@@ -225,6 +225,26 @@ impl SharedPlanCache {
             })
     }
 
+    /// The resident plan for `(suite, net, batch)`, if any; never
+    /// compiles and never waits on another thread's compile.
+    ///
+    /// A hit refreshes the entry's recency and counts one `hits`. A miss
+    /// counts nothing: the caller is expected to fall back to
+    /// [`SharedPlanCache::get_or_compile`], which counts it, so
+    /// `hits + misses` stays the number of lookups.
+    pub fn get(&self, suite: &Workflow, net: &Network, batch: usize) -> Option<Arc<CompiledPlan>> {
+        let key = PlanKey::of(suite, net, batch);
+        self.hit(&mut lock_unpoisoned(&self.shard_of(&key).state), key)
+    }
+
+    /// The one place a lookup counts as a hit: refreshes `key`'s recency
+    /// and counts one `hits` if it is resident; counts nothing otherwise.
+    fn hit(&self, st: &mut ShardState, key: PlanKey) -> Option<Arc<CompiledPlan>> {
+        let plan = st.touch(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(plan)
+    }
+
     /// The cached plan for `(suite, net, batch)`, compiling on miss.
     ///
     /// The returned plan is always the one compiled against `suite`'s
@@ -246,8 +266,7 @@ impl SharedPlanCache {
         {
             let mut st = lock_unpoisoned(&shard.state);
             loop {
-                if let Some(plan) = st.touch(key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                if let Some(plan) = self.hit(&mut st, key) {
                     return Ok(plan);
                 }
                 if !st.inflight.contains(&key) {

@@ -12,6 +12,18 @@
 //!   batches by a fixed worker pool — a full queue sheds the request
 //!   with [`ServeError::Overloaded`] instead of queueing unboundedly.
 //!
+//! **Hits are served inline; misses are admitted.** A request whose plan
+//! is already resident is priced on the submitting thread (the
+//! in-process caller, or the TCP connection handler) with a lookup-only
+//! [`SharedPlanCache::get`]: no slot, no queue, no worker wake. Only a
+//! miss — which must compile, tens of sweeps' worth of work — goes
+//! through admission to the workers. Both paths count `admitted` and
+//! `completed` and draw the admission `seq` at the same point, so the
+//! counters and the seeded chaos schedule do not depend on which path
+//! served a request. Since hits never touch the queue bound, the bound on
+//! concurrent hit work is the number of callers — for TCP, the
+//! connection cap ([`crate::TcpConfig::max_connections`]).
+//!
 //! Requests resolve their suite at **submit time**: the job carries the
 //! `Arc<Workflow>` it was admitted against, so a racing retrain can
 //! never make an in-flight request mix models from two training runs —
@@ -24,28 +36,35 @@
 //! matter what fails:
 //!
 //! * **Deadlines.** A request may carry a time budget. A zero budget —
-//!   or a budget smaller than the estimated queue wait (EWMA of service
-//!   time × queue depth ÷ workers) — is shed at submission with
-//!   [`ServeError::DeadlineExceeded`]. Admitted requests that expire
-//!   while queued are answered the same way: workers check expiry before
-//!   pricing, and a producer that finds the queue full first sweeps
-//!   expired entries out (answering their waiters) before shedding
-//!   fresh work with [`ServeError::Overloaded`].
+//!   or a budget smaller than the estimated queue wait (EWMA of queued
+//!   service time × queue depth ÷ workers) — is shed at submission with
+//!   [`ServeError::DeadlineExceeded`], before a `seq` is drawn and before
+//!   the cache is probed. An inline hit never waits in a queue, so it
+//!   cannot expire, and only queued work feeds the EWMA. Admitted
+//!   requests that expire while queued are answered the same way:
+//!   workers check expiry before pricing, and a producer that finds the
+//!   queue full first sweeps expired entries out (answering their
+//!   waiters) before shedding fresh work with [`ServeError::Overloaded`].
 //! * **Worker supervision.** Each worker runs its drain loop under
 //!   `catch_unwind`. If serving a request panics, the supervisor answers
 //!   that request's waiter with [`ServeError::Internal`], requeues the
 //!   untouched remainder of the drained batch, and respawns the worker —
 //!   a panic never hangs a client and never shrinks the pool. Panics
 //!   during shutdown skip the respawn and answer rescued jobs with
-//!   [`ServeError::ShuttingDown`].
+//!   [`ServeError::ShuttingDown`]. A warm request whose `seq` fires the
+//!   seeded [`PanicPlan`] is not served inline: it is queued, so the
+//!   injected panic still unwinds inside a supervised worker.
 //! * **Shutdown.** [`PredictionServer::shutdown`] closes the queue,
 //!   joins every worker (including respawns), and answers whatever no
-//!   worker picked up with [`ServeError::ShuttingDown`].
+//!   worker picked up with [`ServeError::ShuttingDown`]. Once the queue
+//!   is closed no request is served inline, warm or not: every later
+//!   submission answers [`ServeError::ShuttingDown`].
 
 use crate::fault::{InjectedWorkerPanic, PanicPlan};
 use crate::protocol::Response;
 use dnnperf_core::{
-    CacheConfig, CacheStats, GracefulPrediction, PredictError, SharedPlanCache, Workflow,
+    CacheConfig, CacheStats, CompiledPlan, GracefulPrediction, PredictError, SharedPlanCache,
+    Workflow,
 };
 use dnnperf_dnn::Network;
 use dnnperf_sched::sync::{lock_unpoisoned, read_unpoisoned, wait_unpoisoned, write_unpoisoned};
@@ -126,6 +145,16 @@ enum Mode {
     Graceful,
 }
 
+impl Mode {
+    /// Prices `plan` on this mode's path.
+    fn price(self, plan: &CompiledPlan) -> Reply {
+        match self {
+            Mode::Strict => Reply::Strict(plan.predict()),
+            Mode::Graceful => Reply::Graceful(plan.predict_graceful()),
+        }
+    }
+}
+
 type SlotResult = Result<Reply, ServeError>;
 
 struct Slot {
@@ -147,11 +176,20 @@ impl Slot {
     }
 }
 
-/// A handle to an admitted request; [`Pending::wait`] blocks for the
-/// worker pool to answer it.
+/// A handle to an admitted request; [`Pending::wait`] returns its answer.
+///
+/// A cache hit is answered on the submitting thread, so its handle
+/// already holds the result and waiting returns at once; a queued request
+/// waits for the worker pool to answer it.
 #[derive(Debug)]
-pub struct Pending {
-    slot: Arc<Slot>,
+pub struct Pending(Answer);
+
+#[derive(Debug)]
+enum Answer {
+    /// Served inline at submission: no slot was allocated.
+    Ready(SlotResult),
+    /// Queued: a worker, the supervisor, a sweep or shutdown fills it.
+    Queued(Arc<Slot>),
 }
 
 impl std::fmt::Debug for Slot {
@@ -163,12 +201,16 @@ impl std::fmt::Debug for Slot {
 impl Pending {
     /// Blocks until the request is answered and returns the outcome.
     pub fn wait(self) -> SlotResult {
-        let mut guard = lock_unpoisoned(&self.slot.result);
+        let slot = match self.0 {
+            Answer::Ready(r) => return r,
+            Answer::Queued(slot) => slot,
+        };
+        let mut guard = lock_unpoisoned(&slot.result);
         loop {
             if let Some(r) = guard.take() {
                 return r;
             }
-            guard = wait_unpoisoned(&self.slot.done, guard);
+            guard = wait_unpoisoned(&slot.done, guard);
         }
     }
 }
@@ -183,9 +225,9 @@ struct Job {
     batch: usize,
     mode: Mode,
     slot: Arc<Slot>,
-    /// Admission sequence number (the value of the `admitted` counter
-    /// when this job entered the queue). Drives deterministic panic
-    /// injection in chaos runs.
+    /// Admission sequence number, drawn at submission after the
+    /// deadline early-shed (inline hits draw one too). Drives
+    /// deterministic panic injection in chaos runs.
     seq: u64,
     /// Absolute expiry instant on the server clock, if the request
     /// carried a deadline.
@@ -202,7 +244,8 @@ impl Job {
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads draining the admission queue. Zero is permitted
-    /// (useful in tests: admitted requests stay queued).
+    /// (useful in tests: cache hits are still answered inline, but misses
+    /// stay queued).
     pub workers: usize,
     /// Admission queue depth; a full queue sheds with
     /// [`ServeError::Overloaded`].
@@ -233,9 +276,9 @@ impl Default for ServerConfig {
 /// Point-in-time server counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Requests admitted to the queue.
+    /// Requests admitted: served inline as cache hits or queued.
     pub admitted: u64,
-    /// Requests answered by the worker pool.
+    /// Requests priced, answered inline or by a worker.
     pub completed: u64,
     /// Requests shed by admission control (queue full).
     pub shed: u64,
@@ -277,8 +320,9 @@ struct Inner {
     panicked: AtomicU64,
     respawns: AtomicU64,
     requeued: AtomicU64,
-    /// EWMA of per-request service time in nanoseconds (0 = no sample
-    /// yet; real samples are clamped to at least 1).
+    /// EWMA of per-request service time of queued work in nanoseconds
+    /// (0 = no sample yet; real samples are clamped to at least 1).
+    /// Inline hits never feed it.
     ewma_service_ns: AtomicU64,
 }
 
@@ -304,14 +348,36 @@ impl Inner {
         let result = self
             .cache
             .get_or_compile(&job.suite, &job.net, job.batch)
-            .map(|plan| match job.mode {
-                Mode::Strict => Reply::Strict(plan.predict()),
-                Mode::Graceful => Reply::Graceful(plan.predict_graceful()),
-            })
+            .map(|plan| job.mode.price(&plan))
             .map_err(ServeError::from);
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.observe_service(self.clock.now().saturating_sub(started));
         job.slot.fill(result);
+    }
+
+    /// Answers a request on the caller's thread if its plan is resident.
+    /// Returns `None` — the request must be queued — on a cache miss,
+    /// when `seq` fires the panic plan (the injected panic belongs inside
+    /// a supervised worker), or once shutdown has closed the queue.
+    ///
+    /// A hit never feeds the service-time EWMA: it never joins the
+    /// backlog, so the wait estimate stays one of queued (miss) service.
+    fn serve_hit(
+        &self,
+        suite: &Workflow,
+        net: &Network,
+        batch: usize,
+        mode: Mode,
+        seq: u64,
+    ) -> Option<Reply> {
+        if self.panic_plan.as_ref().is_some_and(|p| p.fires(seq)) || self.queue.is_closed() {
+            return None;
+        }
+        let plan = self.cache.get(suite, net, batch)?;
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        let reply = mode.price(&plan);
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        Some(reply)
     }
 
     fn observe_service(&self, d: Duration) {
@@ -561,6 +627,10 @@ impl PredictionServer {
                 return Err(ServeError::DeadlineExceeded);
             }
         }
+        let seq = self.inner.seq_counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(reply) = self.inner.serve_hit(&suite, &net, batch, mode, seq) {
+            return Ok(Pending(Answer::Ready(Ok(reply))));
+        }
         let slot = Arc::new(Slot {
             result: Mutex::new(None),
             done: Condvar::new(),
@@ -571,13 +641,13 @@ impl PredictionServer {
             batch,
             mode,
             slot: Arc::clone(&slot),
-            seq: self.inner.seq_counter.fetch_add(1, Ordering::Relaxed),
+            seq,
             expires_at: budget.map(|b| self.inner.clock.now() + b),
         };
         let job = match self.inner.queue.try_send(job) {
             Ok(()) => {
                 self.inner.admitted.fetch_add(1, Ordering::Relaxed);
-                return Ok(Pending { slot });
+                return Ok(Pending(Answer::Queued(slot)));
             }
             Err((job, SendRejected::Full)) => job,
             Err((_, SendRejected::Closed)) => return Err(ServeError::ShuttingDown),
@@ -588,7 +658,7 @@ impl PredictionServer {
             match self.inner.queue.try_send(job) {
                 Ok(()) => {
                     self.inner.admitted.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Pending { slot });
+                    return Ok(Pending(Answer::Queued(slot)));
                 }
                 Err((_, SendRejected::Closed)) => return Err(ServeError::ShuttingDown),
                 Err((_, SendRejected::Full)) => {}
@@ -832,5 +902,43 @@ impl std::fmt::Debug for PredictionServer {
 impl Drop for PredictionServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dnnperf_data::collect::collect;
+    use dnnperf_dnn::zoo;
+    use dnnperf_gpu::GpuSpec;
+
+    #[test]
+    fn hits_are_answered_without_a_slot_and_never_feed_the_ewma() {
+        let net = zoo::squeezenet::squeezenet(64, 32, 0.125);
+        let gpu = GpuSpec::by_name("A100").unwrap();
+        let suite = Arc::new(
+            Workflow::train(
+                &collect(std::slice::from_ref(&net), &[gpu], &[1, 8]),
+                "A100",
+            )
+            .unwrap(),
+        );
+        let server = PredictionServer::start(&ServerConfig {
+            workers: 0,
+            ..ServerConfig::default()
+        });
+        server.register_tenant("t", Arc::clone(&suite));
+        server.add_networks([net.clone()]);
+        server.cache().get_or_compile(&suite, &net, 8).unwrap();
+
+        for _ in 0..5 {
+            let pending = server.submit("t", net.name(), 8).unwrap();
+            assert!(matches!(pending.0, Answer::Ready(Ok(_))), "{pending:?}");
+            let graceful = server.submit_graceful("t", net.name(), 8).unwrap();
+            assert!(matches!(graceful.0, Answer::Ready(Ok(Reply::Graceful(_)))));
+        }
+        assert_eq!(server.inner.ewma_service_ns.load(Ordering::Relaxed), 0);
+        assert_eq!(server.inner.queue.len(), 0);
+        server.shutdown();
     }
 }

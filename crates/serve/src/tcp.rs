@@ -23,7 +23,13 @@
 //! budget** bounds how long a started frame may dribble in — a
 //! slowloris peer can pin a handler thread for at most one frame
 //! budget. Both knobs read `DNNPERF_SERVE_*` environment overrides via
-//! [`TcpConfig::from_env`].
+//! [`TcpConfig::from_env`]. A **connection cap** bounds the handler
+//! threads: a connection accepted while the cap's worth of handlers are
+//! live is answered one `Overloaded` frame and closed. Cache hits run on
+//! the handler thread itself (see [`crate::server`]), so the cap is also
+//! the bound on concurrent hit work. The cap defaults to 1024, lowered to
+//! stay under the process's open-file limit (see
+//! [`TcpConfig::max_connections`]).
 //!
 //! [`Client`] retries transient transport failures (connect refused,
 //! resets, mid-request disconnects) with the scheduler's deterministic
@@ -55,6 +61,20 @@ pub struct TcpConfig {
     /// Socket read timeout: how often an idle read re-checks the
     /// shutdown flag and idle deadline (`DNNPERF_SERVE_POLL_MS`).
     pub poll: Duration,
+    /// Live connections served at once. A connection accepted at the cap
+    /// is answered one [`Response::Overloaded`] frame and closed, with no
+    /// thread spawned. Cache hits are served on the connection's own
+    /// thread without entering the admission queue, so this cap is what
+    /// bounds concurrent hit work.
+    ///
+    /// The default is 1024, lowered where the process's soft open-file
+    /// limit (read from `/proc/self/limits`) leaves fewer than 1024
+    /// descriptors after a reserve for the listener, stdio and the rest
+    /// of the process. A cap above what the limit allows is not enforced
+    /// by this check: `accept` then fails with "too many open files", the
+    /// accept loop pauses briefly and retries, and the waiting connection
+    /// stays in the listen backlog without an `Overloaded` frame.
+    pub max_connections: usize,
 }
 
 impl Default for TcpConfig {
@@ -63,8 +83,39 @@ impl Default for TcpConfig {
             idle_timeout: Duration::from_secs(30),
             frame_timeout: Duration::from_secs(2),
             poll: Duration::from_millis(100),
+            max_connections: default_max_connections(),
         }
     }
+}
+
+/// The connection cap where the open-file limit does not force a lower one.
+const MAX_CONNECTIONS: usize = 1024;
+
+/// Descriptors the default cap leaves free under the open-file limit: the
+/// listener, stdio, and whatever files and sockets the rest of the
+/// process holds.
+const FD_RESERVE: usize = 64;
+
+/// [`MAX_CONNECTIONS`], lowered to the soft open-file limit minus
+/// [`FD_RESERVE`] where that is smaller (and at least 1).
+fn default_max_connections() -> usize {
+    let limits = std::fs::read_to_string("/proc/self/limits").unwrap_or_default();
+    match soft_fd_limit(&limits) {
+        Some(limit) => MAX_CONNECTIONS.min(limit.saturating_sub(FD_RESERVE)).max(1),
+        None => MAX_CONNECTIONS,
+    }
+}
+
+/// The soft "Max open files" value of a `/proc/<pid>/limits` listing;
+/// `None` if the line is missing or the limit is `unlimited`.
+fn soft_fd_limit(limits: &str) -> Option<usize> {
+    limits
+        .lines()
+        .find_map(|l| l.strip_prefix("Max open files"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
 }
 
 impl TcpConfig {
@@ -84,8 +135,27 @@ impl TcpConfig {
             idle_timeout: ms("DNNPERF_SERVE_IDLE_MS", d.idle_timeout),
             frame_timeout: ms("DNNPERF_SERVE_FRAME_MS", d.frame_timeout),
             poll: ms("DNNPERF_SERVE_POLL_MS", d.poll).max(Duration::from_millis(1)),
+            ..d
         }
     }
+}
+
+/// How long the accept loop may block telling a connection over the cap
+/// that the server is overloaded; a peer that does not drain one small
+/// frame in this time is simply closed.
+const REFUSE_WRITE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// How long the accept loop pauses after a failed `accept` (such as "too
+/// many open files") before it retries, so a persistent failure does not
+/// spin a core.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// Answers a connection accepted at the cap with one `Overloaded` frame
+/// and closes it (on drop), on the accept thread.
+fn refuse(stream: &TcpStream) {
+    let _ = stream.set_write_timeout(Some(REFUSE_WRITE_TIMEOUT));
+    let mut writer = stream;
+    let _ = write_frame(&mut writer, &Response::Overloaded.format());
 }
 
 /// A running TCP front end over a [`PredictionServer`].
@@ -236,7 +306,14 @@ impl TcpServer {
                 // one stack per connection ever accepted. Dropping a
                 // finished handle detaches the thread and frees it.
                 handlers.retain(|h| !h.is_finished());
-                let Ok(stream) = conn else { continue };
+                let Ok(stream) = conn else {
+                    std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                    continue;
+                };
+                if handlers.len() >= cfg.max_connections {
+                    refuse(&stream);
+                    continue;
+                }
                 let server = Arc::clone(&server);
                 let stop = Arc::clone(&accept_stop);
                 let cfg = cfg.clone();
@@ -476,6 +553,39 @@ impl Client {
         match resp {
             Response::Ok { seconds, .. } => Ok(seconds),
             other => Err(WireError::Malformed(format!("server said {other:?}"))),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LIMITS: &str = "\
+Limit                     Soft Limit           Hard Limit           Units
+Max processes             63432                63432                processes
+Max open files            1024                 524288               files
+Max locked memory         8388608              8388608              bytes
+";
+
+    #[test]
+    fn soft_fd_limit_reads_the_soft_column() {
+        assert_eq!(soft_fd_limit(LIMITS), Some(1024));
+        let unlimited = LIMITS.replace("1024                 524288", "unlimited unlimited");
+        assert_eq!(soft_fd_limit(&unlimited), None);
+        assert_eq!(soft_fd_limit(""), None);
+    }
+
+    #[test]
+    fn default_cap_stays_under_the_open_file_limit() {
+        let cap = TcpConfig::default().max_connections;
+        assert!((1..=MAX_CONNECTIONS).contains(&cap));
+        let limits = std::fs::read_to_string("/proc/self/limits").unwrap_or_default();
+        if let Some(limit) = soft_fd_limit(&limits) {
+            assert!(
+                cap + FD_RESERVE <= limit.max(FD_RESERVE + 1),
+                "cap {cap} vs limit {limit}"
+            );
         }
     }
 }

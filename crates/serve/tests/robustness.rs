@@ -147,6 +147,105 @@ fn panicking_workers_answer_waiters_and_respawn() {
 }
 
 #[test]
+fn warm_request_whose_seq_fires_is_answered_internal_by_a_worker() {
+    let plan = PanicPlan::new(0x5EED, 0.25);
+    let fired_seq = (0..64u64)
+        .find(|&seq| plan.fires(seq))
+        .expect("the seed fires within 64 seqs");
+    assert!(
+        fired_seq > 0,
+        "the seed must leave room for inline hits first"
+    );
+    let mut cfg = config(1, 8);
+    cfg.panic_plan = Some(plan);
+    let suite = train_suite();
+    let server = PredictionServer::start(&cfg);
+    server.register_tenant("t", Arc::clone(&suite));
+    server.add_networks(small_nets());
+    let net = small_nets().remove(0);
+    // Warm the key directly, drawing no admission seq.
+    server.cache().get_or_compile(&suite, &net, 8).unwrap();
+
+    // Every non-firing seq before it is an inline hit; the firing one is
+    // routed through the queue so the panic unwinds in a supervised
+    // worker.
+    for seq in 0..fired_seq {
+        assert!(server.predict("t", net.name(), 8).is_ok(), "seq {seq}");
+    }
+    assert!(matches!(
+        server.predict("t", net.name(), 8),
+        Err(ServeError::Internal(_))
+    ));
+    let s = server.stats();
+    assert_eq!((s.panicked, s.respawns), (1, 1), "{s:?}");
+    assert_eq!(s.completed, fired_seq);
+    assert_eq!(server.worker_handles(), 2, "one worker plus its respawn");
+    server.shutdown();
+}
+
+#[test]
+fn connections_over_the_cap_are_refused_with_overloaded() {
+    let server = Arc::new(PredictionServer::start(&config(1, 8)));
+    server.register_tenant("t", train_suite());
+    let tcp = TcpServer::serve_with(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        TcpConfig {
+            max_connections: 2,
+            ..TcpConfig::default()
+        },
+    )
+    .unwrap();
+    let stats = Request::Stats.format();
+    // One stats round on a raw socket; `None` if the connection was not
+    // served.
+    let round = |stream: &mut TcpStream| -> Option<String> {
+        write_frame(stream, &stats).ok()?;
+        read_frame(stream).ok()?
+    };
+
+    let mut held: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(tcp.addr()).unwrap())
+        .collect();
+    for stream in &mut held {
+        let answer = round(stream).expect("held connections are served");
+        assert!(matches!(Response::parse(&answer), Ok(Response::Stats(_))));
+    }
+
+    // The third is told why, then closed.
+    let mut third = TcpStream::connect(tcp.addr()).unwrap();
+    third
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let refused = read_frame(&mut third)
+        .unwrap()
+        .expect("an Overloaded frame");
+    assert_eq!(Response::parse(&refused).unwrap(), Response::Overloaded);
+    assert!(read_frame(&mut third).unwrap().is_none(), "then EOF");
+
+    // Closing a held connection frees a place. Its handler is reaped on
+    // a later accept, so retry until a new connection is served: up to
+    // 1000 tries 10 ms apart, about a 10-second deadline.
+    drop(held.pop());
+    let reused = (0..1000).any(|_| {
+        let mut next = TcpStream::connect(tcp.addr()).unwrap();
+        next.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match round(&mut next).map(|f| Response::parse(&f)) {
+            Some(Ok(Response::Stats(_))) => true,
+            Some(Ok(Response::Overloaded)) | None => {
+                std::thread::sleep(Duration::from_millis(10));
+                false
+            }
+            other => panic!("unexpected answer {other:?}"),
+        }
+    });
+    assert!(reused, "a freed place was never reused");
+    drop(held);
+    tcp.shutdown();
+    server.shutdown();
+}
+
+#[test]
 fn shutdown_under_load_answers_every_request() {
     let server = Arc::new(PredictionServer::start(&config(2, 8)));
     server.register_tenant("t", train_suite());
@@ -236,6 +335,7 @@ fn recoverable_transport_faults_never_lose_a_request() {
             idle_timeout: Duration::from_secs(10),
             frame_timeout: Duration::from_secs(2),
             poll: Duration::from_millis(20),
+            ..TcpConfig::default()
         },
     )
     .unwrap();
@@ -343,6 +443,7 @@ fn slowloris_and_idle_connections_are_dropped() {
             idle_timeout: Duration::from_millis(200),
             frame_timeout: Duration::from_millis(200),
             poll: Duration::from_millis(20),
+            ..TcpConfig::default()
         },
     )
     .unwrap();

@@ -144,6 +144,98 @@ fn full_queue_sheds_with_overloaded_and_shutdown_answers_the_rest() {
 }
 
 #[test]
+fn warm_hits_are_answered_inline_and_only_misses_queue() {
+    let suite = train_suite("A100");
+    let server = PredictionServer::start(&ServerConfig {
+        workers: 0, // nothing drains the queue: only misses park
+        queue_depth: 1,
+        max_batch: 4,
+        cache: CacheConfig::default(),
+        panic_plan: None,
+    });
+    server.register_tenant("t", Arc::clone(&suite));
+    server.add_networks(small_nets());
+    let net = small_nets().remove(0);
+    server.cache().get_or_compile(&suite, &net, 8).unwrap();
+
+    // With no worker a queued request could never be answered, so an
+    // answer proves the hit ran on this thread.
+    let before = server.stats();
+    let served = server.predict("t", net.name(), 8).unwrap();
+    assert_eq!(served.to_bits(), suite.predict(&net, 8).unwrap().to_bits());
+    let after = server.stats();
+    assert_eq!(after.admitted, before.admitted + 1);
+    assert_eq!(after.completed, before.completed + 1);
+    assert_eq!(after.cache.hits, before.cache.hits + 1);
+    assert_eq!(after.cache.misses, before.cache.misses);
+
+    // The hit left the one queue slot free: a cold key takes it and
+    // parks, and the next cold key finds the queue full.
+    let parked = server.submit("t", net.name(), 1).unwrap();
+    assert_eq!(
+        server.submit("t", net.name(), 2).unwrap_err(),
+        ServeError::Overloaded
+    );
+    assert!(
+        server.predict("t", net.name(), 8).is_ok(),
+        "hits skip the full queue"
+    );
+
+    // Shutdown answers the parked miss, and once the queue is closed a
+    // warm key is no longer served inline.
+    server.shutdown();
+    assert_eq!(parked.wait().unwrap_err(), ServeError::ShuttingDown);
+    assert_eq!(
+        server.predict("t", net.name(), 8).unwrap_err(),
+        ServeError::ShuttingDown
+    );
+}
+
+#[test]
+fn every_request_is_one_cache_lookup_over_mixed_hits_and_misses() {
+    let suite = train_suite("A100");
+    let server = PredictionServer::start(&test_config());
+    server.register_tenant("t", Arc::clone(&suite));
+    server.add_networks(small_nets());
+    let nets = small_nets();
+
+    let mut requests = 0u64;
+    let mut keys = std::collections::BTreeSet::new();
+    for round in 0..3usize {
+        for (i, net) in nets.iter().enumerate() {
+            // Each round adds a fresh batch per network (misses) and
+            // repeats the earlier ones (hits).
+            for batch in [1usize, 8, 32].into_iter().take(round + 1) {
+                let served = if (round + i) % 2 == 0 {
+                    server.predict("t", net.name(), batch).unwrap()
+                } else {
+                    server
+                        .predict_graceful("t", net.name(), batch)
+                        .unwrap()
+                        .seconds
+                };
+                assert_eq!(
+                    served.to_bits(),
+                    suite.predict(net, batch).unwrap().to_bits()
+                );
+                requests += 1;
+                keys.insert((net.name().to_string(), batch));
+            }
+        }
+    }
+    let s = server.stats();
+    assert_eq!(s.cache.hits + s.cache.misses, requests, "{s:?}");
+    assert_eq!(
+        s.cache.misses,
+        keys.len() as u64,
+        "one miss per distinct key"
+    );
+    assert_eq!(s.admitted, requests);
+    assert_eq!(s.completed, requests);
+    server.shutdown();
+}
+
+#[test]
 fn unknown_names_fail_before_admission() {
     let server = PredictionServer::start(&test_config());
     server.register_tenant("t", train_suite("A100"));
