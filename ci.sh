@@ -68,17 +68,15 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
-# Re-measures the serving/training hot paths with reduced iteration counts
-# and gates on machine-relative figures: warm-predict ns/kernel may not
-# regress more than 2x vs the committed baseline, the compiled-plan
-# sweep must stay at least 5x faster than the uncompiled legacy path, and
-# the warm Workflow::predict sweep (fingerprint + cache lookup + sweep)
-# may cost at most 2x the same sweep over precompiled plans
-# (workflow_over_sweep), and the same warm sweep through an in-process
-# PredictionServer::predict (cache hits answered on the caller's thread)
-# may cost at most 4x the Workflow::predict sweep (server_over_workflow).
-# Both ratios are absolute machine-relative ceilings that read no
-# baseline figure.
+# Re-measures the serving hot path with reduced iteration counts and gates
+# on machine-relative figures: warm-predict ns/kernel against the
+# committed baseline, the compiled-plan sweep against the uncompiled
+# legacy path, and each serving layer (Workflow::predict, then the
+# in-process PredictionServer) against the layer below it. Every gate
+# bin's figure table (crates/bench/src/bin) states each key's rule, and
+# dnnperf_bench::gate reads the baseline, prints one line per gated key
+# and exits 1 on any miss; it exits 2 on a bad flag or unreadable
+# baseline, before measuring.
 # Release build: the baseline was captured in release, and the tier-1 step
 # above has already built it.
 cargo run --release --offline -q -p dnnperf-bench --bin perf -- --smoke --check BENCH_5.json
@@ -87,16 +85,16 @@ echo "==> train-scaling gate (smoke profile vs committed BENCH_9.json)"
 # Sweeps KW training over worker counts {1,2,4,8} on an enlarged grid.
 # Determinism is a hard abort inside the bin: the serialized model must be
 # byte-identical at every thread count before anything is timed. The perf
-# gate is machine-aware: boxes with >= 4 cores must show >= 2x speedup at
-# 8 threads; smaller boxes gate serial ns/row against the baseline instead.
-cargo run --release --offline -q -p dnnperf-bench --bin perf -- --train-scaling --smoke --check BENCH_9.json
+# gate is machine-aware: boxes with enough cores gate the 8-thread
+# speedup; smaller boxes gate serial ns/row against the baseline instead.
+cargo run --release --offline -q -p dnnperf-bench --bin train_scaling -- --smoke --check BENCH_9.json
 
 echo "==> serving load gate (smoke profile vs committed BENCH_6.json)"
 # End-to-end server smoke + regression gate in one step: boots the
 # prediction server on an ephemeral port, drives 100+ concurrent TCP
 # clients over the full zoo, shuts down cleanly, and gates on zero
-# client-observed errors, p99 latency within 6x of the committed
-# baseline, and throughput above baseline/6 (machine-relative).
+# client-observed errors and on p99 latency and throughput against the
+# committed baseline (machine-relative).
 cargo run --release --offline -q -p dnnperf-bench --bin loadgen -- --smoke --check BENCH_6.json
 
 echo "==> chaos soak gate (deterministic fault injection vs committed BENCH_8.json)"
@@ -105,16 +103,15 @@ echo "==> chaos soak gate (deterministic fault injection vs committed BENCH_8.js
 # panic-injected worker pool. The bin itself aborts unless every request
 # gets exactly one terminal response and both scenarios replay
 # byte-identically across two same-seed runs; --check then compares the
-# counters against the committed baseline (counts exactly, the
-# prediction checksum to 1e-6 relative).
+# counters and the prediction checksum against the committed baseline.
 cargo run --release --offline -q -p dnnperf-bench --bin chaos -- --smoke --check BENCH_8.json
 
 echo "==> fleet sweep reproducibility gate (vs committed BENCH_7.json)"
 # The capacity-planning sweep is fully deterministic (no wall clock, no
 # ambient randomness): every point is simulated twice and must replay
 # byte-identically and conserve every request (the bin aborts
-# otherwise), and the figures must match the committed baseline —
-# request counts exactly, float figures within 1e-6 relative.
+# otherwise), and the request counts and float figures must match the
+# committed baseline.
 cargo run --release --offline -q -p dnnperf-bench --bin fleet -- --smoke --check BENCH_7.json
 
 echo "==> rustfmt"

@@ -24,15 +24,12 @@
 //! fails to receive exactly one terminal response (the zero-hung-requests
 //! guarantee), or if the server-side counters break conservation.
 //!
-//! Flags:
-//!
-//! * `--smoke` — fewer clients/requests for CI;
-//! * `--out PATH` — write the counters as one JSON document (BENCH_8.json);
-//! * `--check PATH` — re-run, then gate against a committed baseline:
-//!   every counter must match exactly; the prediction checksum must match
-//!   to 1e-6 relative.
+//! Flags and the report format are the shared gate interface
+//! ([`dnnperf_bench::gate`]); the report is BENCH_8.json. Every counter
+//! must match the baseline exactly.
 
-use dnnperf_bench::{json_number, lcg_next};
+use dnnperf_bench::gate::{Figure, Gate, Report, Rule};
+use dnnperf_bench::lcg_next;
 use dnnperf_core::Workflow;
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::zoo;
@@ -59,42 +56,6 @@ const PANIC_SEED: u64 = 0xD15E_A5E5;
 const PANIC_RATE: f64 = 0.12;
 /// Attempts (including reconnects) before a transport client gives up.
 const MAX_ATTEMPTS: usize = 32;
-/// Relative tolerance for the float gate.
-const FLOAT_RTOL: f64 = 1e-6;
-
-struct Flags {
-    smoke: bool,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        smoke: false,
-        out: None,
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--out" => flags.out = args.next(),
-            "--check" => flags.check = args.next(),
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    flags.out = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    flags.check = Some(v.to_string());
-                } else {
-                    eprintln!("chaos: unknown flag {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    flags
-}
-
 fn fail(msg: &str) -> ! {
     eprintln!("FATAL: {msg}");
     std::process::exit(1)
@@ -547,137 +508,56 @@ fn run_panics(suite: &Arc<Workflow>, smoke: bool) -> PanicOutcome {
     out
 }
 
-// -- report + gate ------------------------------------------------------------
+// -- report ------------------------------------------------------------------
 
-struct Report {
-    profile: &'static str,
-    transport: TransportOutcome,
-    panics: PanicOutcome,
-    elapsed_ms: f64,
-}
-
-impl Report {
-    fn to_json(&self) -> String {
-        let t = &self.transport;
-        let p = &self.panics;
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dnnperf-bench-8\",\n");
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"transport_clients\": {},\n", t.clients));
-        out.push_str(&format!(
-            "  \"transport_requests_per_client\": {},\n",
-            t.requests_per_client
-        ));
-        out.push_str(&format!("  \"transport_ok\": {},\n", t.ok));
-        out.push_str(&format!("  \"transport_rejected\": {},\n", t.rejected));
-        out.push_str(&format!("  \"transport_gave_up\": {},\n", t.gave_up));
-        out.push_str(&format!(
-            "  \"transport_connections\": {},\n",
-            t.connections
-        ));
-        out.push_str(&format!("  \"transport_torn\": {},\n", t.faults.torn));
-        out.push_str(&format!(
-            "  \"transport_corrupted\": {},\n",
-            t.faults.corrupted
-        ));
-        out.push_str(&format!("  \"transport_stalled\": {},\n", t.faults.stalled));
-        out.push_str(&format!(
-            "  \"transport_disconnected\": {},\n",
-            t.faults.disconnected
-        ));
-        out.push_str(&format!("  \"transport_admitted\": {},\n", t.admitted));
-        out.push_str(&format!("  \"transport_completed\": {},\n", t.completed));
-        out.push_str(&format!(
-            "  \"transport_checksum_s\": {:.12e},\n",
-            t.checksum
-        ));
-        out.push_str(&format!("  \"panic_clients\": {},\n", p.clients));
-        out.push_str(&format!(
-            "  \"panic_requests_per_client\": {},\n",
-            p.requests_per_client
-        ));
-        out.push_str(&format!("  \"panic_ok\": {},\n", p.ok));
-        out.push_str(&format!("  \"panic_internal\": {},\n", p.internal));
-        out.push_str(&format!("  \"panic_deadline_shed\": {},\n", p.deadline));
-        out.push_str(&format!("  \"panic_admitted\": {},\n", p.admitted));
-        out.push_str(&format!("  \"panic_completed\": {},\n", p.completed));
-        out.push_str(&format!("  \"panic_panicked\": {},\n", p.panicked));
-        out.push_str(&format!("  \"panic_respawns\": {},\n", p.respawns));
-        out.push_str(&format!("  \"elapsed_ms\": {:.1}\n", self.elapsed_ms));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Every gated key: `(name, value, exact)`. Exact keys are counters
-    /// and must match the baseline bit-for-bit; the rest gate at
-    /// [`FLOAT_RTOL`]. `elapsed_ms` is machine-speed and never gated.
-    fn gated(&self) -> Vec<(&'static str, f64, bool)> {
-        let t = &self.transport;
-        let p = &self.panics;
-        vec![
-            ("transport_clients", t.clients as f64, true),
-            (
+fn report(t: &TransportOutcome, p: &PanicOutcome, elapsed_ms: f64) -> Report {
+    let exact = |key, n: u64| Figure::count(key, n, Rule::Exact);
+    Report {
+        schema: "dnnperf-bench-8",
+        figures: vec![
+            exact("transport_clients", t.clients as u64),
+            exact(
                 "transport_requests_per_client",
-                t.requests_per_client as f64,
-                true,
+                t.requests_per_client as u64,
             ),
-            ("transport_ok", t.ok as f64, true),
-            ("transport_rejected", t.rejected as f64, true),
-            ("transport_gave_up", t.gave_up as f64, true),
-            ("transport_connections", t.connections as f64, true),
-            ("transport_torn", t.faults.torn as f64, true),
-            ("transport_corrupted", t.faults.corrupted as f64, true),
-            ("transport_stalled", t.faults.stalled as f64, true),
-            ("transport_disconnected", t.faults.disconnected as f64, true),
-            ("transport_admitted", t.admitted as f64, true),
-            ("transport_completed", t.completed as f64, true),
-            ("transport_checksum_s", t.checksum, false),
-            ("panic_clients", p.clients as f64, true),
-            (
-                "panic_requests_per_client",
-                p.requests_per_client as f64,
-                true,
+            exact("transport_ok", t.ok),
+            exact("transport_rejected", t.rejected),
+            exact("transport_gave_up", t.gave_up),
+            exact("transport_connections", t.connections),
+            exact("transport_torn", t.faults.torn),
+            exact("transport_corrupted", t.faults.corrupted),
+            exact("transport_stalled", t.faults.stalled),
+            exact("transport_disconnected", t.faults.disconnected),
+            exact("transport_admitted", t.admitted),
+            exact("transport_completed", t.completed),
+            // The prediction sum replays bit-identically; the relative
+            // tolerance only absorbs libm-level drift across machines.
+            Figure::sci(
+                "transport_checksum_s",
+                t.checksum,
+                12,
+                Rule::Close {
+                    rel: 1e-6,
+                    abs: 0.0,
+                },
             ),
-            ("panic_ok", p.ok as f64, true),
-            ("panic_internal", p.internal as f64, true),
-            ("panic_deadline_shed", p.deadline as f64, true),
-            ("panic_admitted", p.admitted as f64, true),
-            ("panic_completed", p.completed as f64, true),
-            ("panic_panicked", p.panicked as f64, true),
-            ("panic_respawns", p.respawns as f64, true),
-        ]
+            exact("panic_clients", p.clients as u64),
+            exact("panic_requests_per_client", p.requests_per_client as u64),
+            exact("panic_ok", p.ok),
+            exact("panic_internal", p.internal),
+            exact("panic_deadline_shed", p.deadline),
+            exact("panic_admitted", p.admitted),
+            exact("panic_completed", p.completed),
+            exact("panic_panicked", p.panicked),
+            exact("panic_respawns", p.respawns),
+            Figure::fixed("elapsed_ms", elapsed_ms, 1, Rule::Record),
+        ],
+        entries: Vec::new(),
     }
-}
-
-fn check_baseline(report: &Report, path: &str) {
-    let baseline = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("chaos --check: cannot read {path}: {e}"));
-    let mut failed = false;
-    for (key, actual, exact) in report.gated() {
-        let Some(expected) = json_number(&baseline, key) else {
-            eprintln!("GATE FAIL: no {key} in {path}");
-            failed = true;
-            continue;
-        };
-        let ok = if exact {
-            actual == expected
-        } else {
-            (actual - expected).abs() <= FLOAT_RTOL * expected.abs().max(1e-300)
-        };
-        if !ok {
-            eprintln!("GATE FAIL: {key} = {actual} vs baseline {expected}");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("gate OK: every counter matched {path} (floats to {FLOAT_RTOL:.0e} rel)");
 }
 
 fn main() {
-    let flags = parse_flags();
+    let gate = Gate::from_args("chaos");
     dnnperf_bench::banner(
         "CHAOS",
         "deterministic fault-injection soak for the serving layer",
@@ -686,15 +566,15 @@ fn main() {
     let done = Arc::new(AtomicBool::new(false));
     spawn_watchdog(
         Arc::clone(&done),
-        Duration::from_secs(if flags.smoke { 240 } else { 900 }),
+        Duration::from_secs(if gate.smoke { 240 } else { 900 }),
     );
 
     let suite = train_suite();
     let started = Instant::now();
 
     // Each scenario runs twice; the digests must replay byte-identically.
-    let transport = run_transport(&suite, flags.smoke);
-    let replay = run_transport(&suite, flags.smoke);
+    let transport = run_transport(&suite, gate.smoke);
+    let replay = run_transport(&suite, gate.smoke);
     if transport.digest() != replay.digest() {
         eprintln!("run 1: {}", transport.digest());
         eprintln!("run 2: {}", replay.digest());
@@ -702,8 +582,8 @@ fn main() {
     }
     println!("  {}", transport.digest());
 
-    let panics = run_panics(&suite, flags.smoke);
-    let replay = run_panics(&suite, flags.smoke);
+    let panics = run_panics(&suite, gate.smoke);
+    let replay = run_panics(&suite, gate.smoke);
     if panics.digest() != replay.digest() {
         eprintln!("run 1: {}", panics.digest());
         eprintln!("run 2: {}", replay.digest());
@@ -714,28 +594,15 @@ fn main() {
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     done.store(true, Ordering::Release);
 
-    let report = Report {
-        profile: if flags.smoke { "smoke" } else { "full" },
-        transport,
-        panics,
-        elapsed_ms,
-    };
     println!();
     println!(
         "{} transport clients through {} injected faults, {} panic clients through {} worker \
          crashes: every request terminal, both scenarios replayed byte-identically ({:.0} ms)",
-        report.transport.clients,
-        report.transport.faults.total(),
-        report.panics.clients,
-        report.panics.panicked,
-        report.elapsed_ms
+        transport.clients,
+        transport.faults.total(),
+        panics.clients,
+        panics.panicked,
+        elapsed_ms
     );
-
-    if let Some(path) = &flags.out {
-        std::fs::write(path, report.to_json()).expect("write report");
-        println!("wrote {path}");
-    }
-    if let Some(path) = &flags.check {
-        check_baseline(&report, path);
-    }
+    gate.finish(&report(&transport, &panics, elapsed_ms));
 }

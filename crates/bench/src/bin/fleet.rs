@@ -9,20 +9,15 @@
 //! aborts otherwise, `--check` or not.
 //!
 //! Because the simulator consumes no wall clock and no ambient
-//! randomness, the sweep figures are fully deterministic: the `--check`
-//! gate compares request counts *exactly* against the committed
-//! BENCH_7.json and the float figures (p99 sojourn, demand, SLO
-//! attainment) within a tight relative tolerance that only absorbs
-//! libm-level drift.
-//!
-//! Flags:
-//!
-//! * `--smoke` — same sweep (the sim is already cheap; training
-//!   dominates), kept for CI symmetry with the other gates;
-//! * `--out PATH` — write the figures as one JSON document (BENCH_7.json);
-//! * `--check PATH` — re-run and gate against a committed baseline.
+//! randomness, the sweep figures are fully deterministic: the gate
+//! compares request counts *exactly* against the committed BENCH_7.json
+//! and the float figures (p99 sojourn, demand, SLO attainment) within a
+//! tight tolerance that only absorbs libm-level drift and the report's
+//! six-decimal rounding. `--smoke` runs the same sweep (the sim is already
+//! cheap; training dominates). Flags and the report format are the shared
+//! gate interface ([`dnnperf_bench::gate`]).
 
-use dnnperf_bench::json_number;
+use dnnperf_bench::gate::{Figure, Gate, Report, Rule};
 use dnnperf_core::{IgkwModel, PredictionOracle, Workflow};
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::{zoo, Network};
@@ -35,46 +30,9 @@ use dnnperf_simkit::{
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Relative tolerance for float figures vs the baseline: deterministic
-/// modulo libm differences, so this is tight.
-const FLOAT_RTOL: f64 = 1e-6;
-
 const RATES: [f64; 3] = [250.0, 500.0, 1000.0];
 const SEED: u64 = 1701;
 const HORIZON: f64 = 0.4;
-
-struct Flags {
-    smoke: bool,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        smoke: false,
-        out: None,
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--out" => flags.out = args.next(),
-            "--check" => flags.check = args.next(),
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    flags.out = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    flags.check = Some(v.to_string());
-                } else {
-                    eprintln!("fleet: unknown flag {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    flags
-}
 
 fn catalog() -> Vec<Network> {
     vec![
@@ -240,68 +198,45 @@ fn sweep(oracle: &PredictionOracle) -> (Vec<Point>, f64) {
     (points, started.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Per-point figures the gate compares. Counts are exact; floats within
-/// [`FLOAT_RTOL`].
-const INT_KEYS: [&str; 5] = ["offered", "admitted", "rejected", "completed", "in_flight"];
-const FLOAT_KEYS: [&str; 3] = ["p99_ms", "demand_ms", "slo_att"];
-
-fn point_figures(p: &Point) -> Vec<(String, String)> {
-    let r = &p.report;
-    vec![
-        (format!("{}_offered", p.key), r.offered.to_string()),
-        (format!("{}_admitted", p.key), r.admitted.to_string()),
-        (format!("{}_rejected", p.key), r.rejected.to_string()),
-        (format!("{}_completed", p.key), r.completed.to_string()),
-        (
-            format!("{}_in_flight", p.key),
-            r.in_flight_at_horizon.to_string(),
-        ),
-        (
-            format!("{}_p99_ms", p.key),
-            format!("{:.6}", r.p99_sojourn_seconds * 1e3),
-        ),
-        (
-            format!("{}_demand_ms", p.key),
-            format!("{:.6}", r.service_demand_seconds * 1e3),
-        ),
-        (
-            format!("{}_slo_att", p.key),
-            format!("{:.6}", r.slo_attainment),
-        ),
-    ]
-}
-
-fn to_json(profile: &str, points: &[Point], sweep_ms: f64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"dnnperf-bench-7\",\n");
-    out.push_str(&format!("  \"profile\": \"{profile}\",\n"));
-    out.push_str(&format!(
-        "  \"cores\": {},\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    ));
-    out.push_str(&format!("  \"points\": {},\n", points.len()));
-    out.push_str(&format!("  \"sweep_wall_ms\": {sweep_ms:.1},\n"));
-    let mut figures: Vec<(String, String)> = Vec::new();
+fn report(points: &[Point], sweep_ms: f64) -> Report {
+    // Deterministic modulo libm: the relative term is tight, and the
+    // absolute term absorbs the six-decimal rounding of the written value.
+    let close = Rule::Close {
+        rel: 1e-6,
+        abs: 1e-6,
+    };
+    let mut figures = vec![
+        Figure::count("points", points.len() as u64, Rule::Record),
+        Figure::fixed("sweep_wall_ms", sweep_ms, 1, Rule::Record),
+    ];
     for p in points {
-        figures.extend(point_figures(p));
+        let r = &p.report;
+        let key = |suffix: &str| format!("{}_{suffix}", p.key);
+        figures.extend([
+            Figure::count(key("offered"), r.offered, Rule::Exact),
+            Figure::count(key("admitted"), r.admitted, Rule::Exact),
+            Figure::count(key("rejected"), r.rejected, Rule::Exact),
+            Figure::count(key("completed"), r.completed, Rule::Exact),
+            Figure::count(key("in_flight"), r.in_flight_at_horizon, Rule::Exact),
+            Figure::fixed(key("p99_ms"), r.p99_sojourn_seconds * 1e3, 6, close),
+            Figure::fixed(key("demand_ms"), r.service_demand_seconds * 1e3, 6, close),
+            Figure::fixed(key("slo_att"), r.slo_attainment, 6, close),
+        ]);
     }
-    for (i, (k, v)) in figures.iter().enumerate() {
-        let sep = if i + 1 == figures.len() { "" } else { "," };
-        out.push_str(&format!("  \"{k}\": {v}{sep}\n"));
+    Report {
+        schema: "dnnperf-bench-7",
+        figures,
+        entries: Vec::new(),
     }
-    out.push_str("}\n");
-    out
 }
 
 fn main() {
-    let flags = parse_flags();
+    let gate = Gate::from_args("fleet");
     dnnperf_bench::banner(
         "FLEET",
         "capacity-planning sweep over compiled-plan predictions",
     );
 
-    let profile = if flags.smoke { "smoke" } else { "full" };
     let nets = catalog();
     println!("training 2 suites + IGKW over {} networks...", nets.len());
     let oracle = build_oracle(&nets);
@@ -328,65 +263,5 @@ fn main() {
             r.pools[2].completed,
         );
     }
-
-    let doc = to_json(profile, &points, sweep_ms);
-    if let Some(path) = &flags.out {
-        std::fs::write(path, &doc).expect("write report");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &flags.check {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("fleet --check: cannot read {path}: {e}"));
-        let mut failed = false;
-        for p in &points {
-            let r = &p.report;
-            let ints: [(&str, f64); 5] = [
-                ("offered", r.offered as f64),
-                ("admitted", r.admitted as f64),
-                ("rejected", r.rejected as f64),
-                ("completed", r.completed as f64),
-                ("in_flight", r.in_flight_at_horizon as f64),
-            ];
-            for (suffix, got) in ints {
-                let key = format!("{}_{suffix}", p.key);
-                let Some(want) = json_number(&baseline, &key) else {
-                    eprintln!("GATE FAIL: baseline {path} has no {key}");
-                    failed = true;
-                    continue;
-                };
-                if got != want {
-                    eprintln!("GATE FAIL: {key} = {got}, baseline {want} (exact match required)");
-                    failed = true;
-                }
-            }
-            let floats: [(&str, f64); 3] = [
-                ("p99_ms", r.p99_sojourn_seconds * 1e3),
-                ("demand_ms", r.service_demand_seconds * 1e3),
-                ("slo_att", r.slo_attainment),
-            ];
-            for (suffix, got) in floats {
-                let key = format!("{}_{suffix}", p.key);
-                let Some(want) = json_number(&baseline, &key) else {
-                    eprintln!("GATE FAIL: baseline {path} has no {key}");
-                    failed = true;
-                    continue;
-                };
-                let tol = want.abs() * FLOAT_RTOL + 1e-6;
-                if (got - want).abs() > tol {
-                    eprintln!("GATE FAIL: {key} = {got}, baseline {want} (tol {tol:e})");
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate OK: {} points × ({} exact counts + {} float figures) match {path}",
-            points.len(),
-            INT_KEYS.len(),
-            FLOAT_KEYS.len()
-        );
-    }
+    gate.finish(&report(&points, sweep_ms));
 }

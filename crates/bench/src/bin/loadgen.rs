@@ -8,21 +8,11 @@
 //! and LRU eviction in the sharded plan cache while measuring what the
 //! serving story actually promises: tail latency and throughput.
 //!
-//! Flags:
-//!
-//! * `--smoke` — fewer clients/requests for CI;
-//! * `--out PATH` — write the results as one JSON document (BENCH_6.json);
-//! * `--check PATH` — re-measure, then gate against a committed baseline:
-//!   fail (exit 1) on any client-observed error, fewer than 100
-//!   concurrent clients, p99 latency regressed beyond 6x the baseline, or
-//!   throughput below baseline/6 (machine-relative, like the perf gate);
-//! * `--deadline-ms N` — attach an N-millisecond deadline to every
-//!   request. Requests the server sheds or sweeps (`deadline-exceeded`)
-//!   count in the `overloaded` bucket, not as errors — useful for
-//!   exploring admission control, but not meaningful under `--check`
-//!   unless the baseline was captured with the same deadline.
+//! Flags and the report format are the shared gate interface
+//! ([`dnnperf_bench::gate`]); the report is BENCH_6.json.
 
-use dnnperf_bench::{json_number, lcg_next};
+use dnnperf_bench::gate::{self, Figure, Gate, Report, Rule};
+use dnnperf_bench::lcg_next;
 use dnnperf_core::Workflow;
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::zoo;
@@ -34,76 +24,16 @@ use dnnperf_serve::{
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Maximum tolerated p99 latency regression vs the baseline.
-const MAX_P99_REGRESSION: f64 = 6.0;
-/// Minimum tolerated throughput as a fraction of the baseline.
-const MIN_THROUGHPUT_FRACTION: f64 = 1.0 / 6.0;
-/// The acceptance floor on concurrency.
-const MIN_CLIENTS: usize = 100;
+/// Maximum tolerated p99 latency regression vs the baseline. Repeated
+/// `--smoke` runs on one box spread about 3x in p99 (12-34 ms around a
+/// 24 ms baseline), so this is the tightest ceiling they all clear.
+const MAX_P99_REGRESSION: f64 = 3.0;
+/// Minimum tolerated throughput as a fraction of the baseline; throughput
+/// spreads far less than p99 (about 20 % below the baseline at worst).
+const MIN_THROUGHPUT_FRACTION: f64 = 0.5;
 
 const TENANT: &str = "zoo";
 const BATCHES: [usize; 3] = [1, 8, 32];
-
-struct Flags {
-    smoke: bool,
-    out: Option<String>,
-    check: Option<String>,
-    deadline_ms: Option<u64>,
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        smoke: false,
-        out: None,
-        check: None,
-        deadline_ms: None,
-    };
-    let parse_deadline = |v: Option<String>| -> Option<u64> {
-        let v = v.unwrap_or_default();
-        match v.parse() {
-            Ok(ms) => Some(ms),
-            Err(_) => {
-                eprintln!("loadgen: --deadline-ms needs a millisecond count, got {v:?}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--out" => flags.out = args.next(),
-            "--check" => flags.check = args.next(),
-            "--deadline-ms" => flags.deadline_ms = parse_deadline(args.next()),
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    flags.out = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    flags.check = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--deadline-ms=") {
-                    flags.deadline_ms = parse_deadline(Some(v.to_string()));
-                } else {
-                    eprintln!("loadgen: unknown flag {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    flags
-}
-
-fn train_nets() -> Vec<dnnperf_dnn::Network> {
-    vec![
-        zoo::resnet::resnet18(),
-        zoo::resnet::resnet34(),
-        zoo::resnet::resnet50(),
-        zoo::vgg::vgg11(),
-        zoo::vgg::vgg16(),
-        zoo::densenet::densenet121(),
-        zoo::mobilenet::mobilenet_v2(1.0, 1.0),
-        zoo::squeezenet::squeezenet(128, 128, 0.125),
-    ]
-}
 
 /// Per-client outcome counters and latencies.
 #[derive(Default)]
@@ -114,65 +44,11 @@ struct ClientResult {
     errors: u64,
 }
 
-struct Report {
-    profile: &'static str,
-    cores: usize,
-    clients: usize,
-    requests_per_client: usize,
-    zoo_size: usize,
-    ok: u64,
-    overloaded: u64,
-    errors: u64,
-    p50_us: f64,
-    p99_us: f64,
-    throughput_rps: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    cache_entries: usize,
-    cache_bytes: usize,
-}
-
-impl Report {
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dnnperf-bench-6\",\n");
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"clients\": {},\n", self.clients));
-        out.push_str(&format!(
-            "  \"requests_per_client\": {},\n",
-            self.requests_per_client
-        ));
-        out.push_str(&format!("  \"zoo_size\": {},\n", self.zoo_size));
-        out.push_str(&format!("  \"ok\": {},\n", self.ok));
-        out.push_str(&format!("  \"overloaded\": {},\n", self.overloaded));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors));
-        out.push_str(&format!("  \"p50_us\": {:.1},\n", self.p50_us));
-        out.push_str(&format!("  \"p99_us\": {:.1},\n", self.p99_us));
-        out.push_str(&format!(
-            "  \"throughput_rps\": {:.1},\n",
-            self.throughput_rps
-        ));
-        out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!("  \"cache_misses\": {},\n", self.cache_misses));
-        out.push_str(&format!(
-            "  \"cache_evictions\": {},\n",
-            self.cache_evictions
-        ));
-        out.push_str(&format!("  \"cache_entries\": {},\n", self.cache_entries));
-        out.push_str(&format!("  \"cache_bytes\": {}\n", self.cache_bytes));
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
+fn run(smoke: bool) -> Report {
     let (clients, requests_per_client) = if smoke { (128, 20) } else { (256, 100) };
 
     let gpu = GpuSpec::by_name("A100").expect("A100 spec");
-    let nets = train_nets();
+    let nets = dnnperf_bench::gate_train_nets();
     let ds = collect(&nets, std::slice::from_ref(&gpu), &[8, 32]);
     let suite = Arc::new(Workflow::train(&ds, "A100").expect("train"));
 
@@ -180,7 +56,7 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
     let zoo_size = catalog.len();
     let names: Vec<String> = catalog.iter().map(|n| n.name().to_string()).collect();
 
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let cores = gate::cores();
     let server = Arc::new(PredictionServer::start(&ServerConfig {
         workers: cores.max(2),
         queue_depth: 1024,
@@ -215,7 +91,7 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
                             tenant: TENANT.to_string(),
                             network: net.clone(),
                             batch,
-                            deadline_ms,
+                            deadline_ms: None,
                         };
                         let t0 = Instant::now();
                         match client.call(&req) {
@@ -227,12 +103,9 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
                                     res.errors += 1;
                                 }
                             }
-                            // Admission-control outcomes are load signals,
-                            // not failures: shed (full queue) and
-                            // deadline-shed (--deadline-ms) land together.
-                            Ok(Response::Overloaded | Response::DeadlineExceeded) => {
-                                res.overloaded += 1;
-                            }
+                            // Shedding at a full queue is a load signal,
+                            // not a failure.
+                            Ok(Response::Overloaded) => res.overloaded += 1,
                             Ok(_) | Err(_) => res.errors += 1,
                         }
                     }
@@ -261,99 +134,51 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
     let overloaded: u64 = results.iter().map(|r| r.overloaded).sum();
     let errors: u64 = results.iter().map(|r| r.errors).sum();
 
+    let p50_us = percentile(&latencies, 50.0);
+    let p99_us = percentile(&latencies, 99.0);
+    let throughput_rps = ok as f64 / elapsed.max(1e-9);
+    println!();
+    println!(
+        "{clients} clients x {requests_per_client} requests over the {zoo_size}-network zoo: \
+         {ok} ok, {overloaded} overloaded, {errors} errors"
+    );
+    println!(
+        "latency p50 {p50_us:.0} us, p99 {p99_us:.0} us; throughput {throughput_rps:.0} req/s; \
+         cache {} hits / {} misses / {} evictions ({} bytes resident)",
+        stats.cache.hits, stats.cache.misses, stats.cache.evictions, stats.cache.bytes
+    );
+
+    let record = |key, n: u64| Figure::count(key, n, Rule::Record);
     Report {
-        profile: if smoke { "smoke" } else { "full" },
-        cores,
-        clients,
-        requests_per_client,
-        zoo_size,
-        ok,
-        overloaded,
-        errors,
-        p50_us: percentile(&latencies, 50.0),
-        p99_us: percentile(&latencies, 99.0),
-        throughput_rps: ok as f64 / elapsed.max(1e-9),
-        cache_hits: stats.cache.hits,
-        cache_misses: stats.cache.misses,
-        cache_evictions: stats.cache.evictions,
-        cache_entries: stats.cache.entries,
-        cache_bytes: stats.cache.bytes,
+        schema: "dnnperf-bench-6",
+        figures: vec![
+            // The acceptance floor on concurrency.
+            Figure::count("clients", clients as u64, Rule::AtLeast(100.0)),
+            record("requests_per_client", requests_per_client as u64),
+            record("zoo_size", zoo_size as u64),
+            record("ok", ok),
+            record("overloaded", overloaded),
+            Figure::count("errors", errors, Rule::AtMost(0.0)),
+            Figure::fixed("p50_us", p50_us, 1, Rule::Record),
+            Figure::fixed("p99_us", p99_us, 1, Rule::AtMostTimes(MAX_P99_REGRESSION)),
+            Figure::fixed(
+                "throughput_rps",
+                throughput_rps,
+                1,
+                Rule::AtLeastTimes(MIN_THROUGHPUT_FRACTION),
+            ),
+            record("cache_hits", stats.cache.hits),
+            record("cache_misses", stats.cache.misses),
+            record("cache_evictions", stats.cache.evictions),
+            record("cache_entries", stats.cache.entries as u64),
+            record("cache_bytes", stats.cache.bytes as u64),
+        ],
+        entries: Vec::new(),
     }
 }
 
 fn main() {
-    let flags = parse_flags();
+    let gate = Gate::from_args("loadgen");
     dnnperf_bench::banner("LOADGEN", "multi-tenant TCP serving under concurrent load");
-
-    let report = run(flags.smoke, flags.deadline_ms);
-    println!();
-    println!(
-        "{} clients x {} requests over the {}-network zoo: {} ok, {} overloaded, {} errors",
-        report.clients,
-        report.requests_per_client,
-        report.zoo_size,
-        report.ok,
-        report.overloaded,
-        report.errors
-    );
-    println!(
-        "latency p50 {:.0} us, p99 {:.0} us; throughput {:.0} req/s; \
-         cache {} hits / {} misses / {} evictions ({} bytes resident)",
-        report.p50_us,
-        report.p99_us,
-        report.throughput_rps,
-        report.cache_hits,
-        report.cache_misses,
-        report.cache_evictions,
-        report.cache_bytes
-    );
-
-    if let Some(path) = &flags.out {
-        std::fs::write(path, report.to_json()).expect("write report");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &flags.check {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("loadgen --check: cannot read {path}: {e}"));
-        let base_p99 = json_number(&baseline, "p99_us")
-            .unwrap_or_else(|| panic!("loadgen --check: no p99_us in {path}"));
-        let base_rps = json_number(&baseline, "throughput_rps")
-            .unwrap_or_else(|| panic!("loadgen --check: no throughput_rps in {path}"));
-        let mut failed = false;
-        if report.errors > 0 {
-            eprintln!("GATE FAIL: {} client-observed errors", report.errors);
-            failed = true;
-        }
-        if report.clients < MIN_CLIENTS {
-            eprintln!(
-                "GATE FAIL: only {} concurrent clients (floor {MIN_CLIENTS})",
-                report.clients
-            );
-            failed = true;
-        }
-        let p99_limit = base_p99 * MAX_P99_REGRESSION;
-        if report.p99_us > p99_limit {
-            eprintln!(
-                "GATE FAIL: p99 {:.0} us exceeds {:.0} (baseline {:.0} x {MAX_P99_REGRESSION})",
-                report.p99_us, p99_limit, base_p99
-            );
-            failed = true;
-        }
-        let rps_floor = base_rps * MIN_THROUGHPUT_FRACTION;
-        if report.throughput_rps < rps_floor {
-            eprintln!(
-                "GATE FAIL: throughput {:.0} req/s below {:.0} (baseline {:.0} / 6)",
-                report.throughput_rps, rps_floor, base_rps
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate OK: p99 {:.0} us (limit {:.0}), {:.0} req/s (floor {:.0}), 0 errors",
-            report.p99_us, p99_limit, report.throughput_rps, rps_floor
-        );
-    }
+    gate.finish(&run(gate.smoke));
 }

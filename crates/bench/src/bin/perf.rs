@@ -1,10 +1,9 @@
-//! PERF: hot-path microbenchmarks with a regression gate.
+//! PERF: serving hot-path microbenchmarks with a regression gate.
 //!
-//! Measures the four stages the compiled-plan work optimises — full-grid
-//! dataset collection, model training (serial vs pooled), plan
-//! compilation, and cold/warm/legacy prediction sweeps — with the in-tree
-//! timer (untimed warmup, median-of-k summaries). These derived figures
-//! anchor the regression gate:
+//! Measures the stages the compiled-plan work optimises — full-grid
+//! dataset collection, plan compilation, and cold/warm/legacy prediction
+//! sweeps — with the in-tree timer (untimed warmup, median-of-k
+//! summaries). These derived figures anchor the regression gate:
 //!
 //! * **warm-predict ns/kernel** — the serving hot path: median sweep time
 //!   divided by the number of compiled kernel terms in the sweep;
@@ -19,85 +18,26 @@
 //! * **server over workflow** — the same warm sweep through an in-process
 //!   [`PredictionServer::predict`] (tenant and catalog resolution,
 //!   admission, inline cache hit) over the warm `Workflow::predict`
-//!   sweep: what the serving layer adds on top of the layer below it;
-//! * **train speedup at 8 threads** — pooled vs serial KW training. The
-//!   training pool clamps its worker count to the machine's cores, so on
-//!   a single-core container this reads ~1.0 (graceful degradation, not
-//!   regression); the report records `cores` so the figure is
-//!   interpretable wherever the baseline was captured.
+//!   sweep: what the serving layer adds on top of the layer below it.
 //!
-//! A second mode, `--train-scaling`, sweeps KW training over worker counts
-//! {1, 2, 4, 8} on an enlarged multi-network grid (BENCH_9.json). Before
-//! timing anything it retrains at every thread count and hard-aborts unless
-//! the serialized models are **byte-identical** — the mergeable-accumulator
-//! determinism contract is a correctness gate, not a statistic. The report
-//! records the machine's cores so the scaling figures are interpretable:
-//! the speedup gate only binds on boxes with at least
-//! [`MIN_CORES_FOR_SPEEDUP_GATE`] cores; below that the gate falls back to
-//! a serial ns/row throughput floor.
-//!
-//! Flags:
-//!
-//! * `--smoke` — reduced warmup/iteration counts for CI;
-//! * `--train-scaling` — run the training scaling sweep instead of the
-//!   serving microbenchmarks;
-//! * `--out PATH` — write the results as one JSON document (BENCH_5.json,
-//!   or BENCH_9.json with `--train-scaling`);
-//! * `--check PATH` — re-measure, then gate against a committed baseline:
-//!   fail (exit 1) if warm-predict ns/kernel regressed by more than 2x, if
-//!   the warm-vs-legacy speedup fell below 5x, if the workflow-over-sweep
-//!   ratio rose above 2x, or if the server-over-workflow ratio rose above
-//!   4x (both absolute ceilings; the baseline's figures are not
-//!   consulted). With `--train-scaling`:
-//!   fail if the 8-thread train speedup is below 2x (cores permitting) or
-//!   if serial training ns/row regressed by more than 2x.
+//! Training throughput and scaling live in the `train_scaling` bin.
+//! Flags and the report format are the shared gate interface
+//! ([`dnnperf_bench::gate`]); the report is BENCH_5.json.
 
-use dnnperf_bench::json_number;
-use dnnperf_bench::timer::{bench, BenchResult};
+use dnnperf_bench::gate::{Figure, Gate, Report, Rule};
+use dnnperf_bench::timer::bench;
 use dnnperf_core::plan::CompiledPlan;
-use dnnperf_core::{Predictor, TrainOptions, Workflow};
+use dnnperf_core::{Predictor, Workflow};
 use dnnperf_data::collect::collect;
-use dnnperf_data::DatasetView;
 use dnnperf_dnn::{zoo, Network};
 use dnnperf_gpu::GpuSpec;
 use dnnperf_serve::{PredictionServer, ServerConfig};
 use std::sync::Arc;
 
 /// Maximum tolerated regression of warm-predict ns/kernel vs the baseline.
-const MAX_NS_PER_KERNEL_REGRESSION: f64 = 2.0;
-/// Minimum tolerated warm-vs-legacy speedup.
-const MIN_WARM_SPEEDUP: f64 = 5.0;
-/// Maximum tolerated ratio of the warm `Workflow::predict` sweep to the
-/// same sweep over precompiled plans: the fingerprint and cache lookup may
-/// at most double the cost of the plan sweep they front.
-const MAX_WORKFLOW_OVER_SWEEP: f64 = 2.0;
-/// Maximum tolerated ratio of the warm in-process server sweep to the warm
-/// `Workflow::predict` sweep: a warm hit is answered on the caller's
-/// thread, so resolution and admission may at most quadruple the cost.
-const MAX_SERVER_OVER_WORKFLOW: f64 = 4.0;
-/// Minimum tolerated 8-thread training speedup — only enforced on machines
-/// with at least [`MIN_CORES_FOR_SPEEDUP_GATE`] cores.
-const MIN_TRAIN_SPEEDUP_THREADS8: f64 = 2.0;
-/// Cores below which the train-scaling gate cannot expect parallel speedup
-/// and falls back to the serial ns/row throughput floor.
-const MIN_CORES_FOR_SPEEDUP_GATE: usize = 4;
-/// Maximum tolerated regression of serial training ns/row vs the baseline.
-const MAX_TRAIN_NS_PER_ROW_REGRESSION: f64 = 2.0;
-/// Worker counts the training scaling sweep measures.
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn train_nets() -> Vec<Network> {
-    vec![
-        zoo::resnet::resnet18(),
-        zoo::resnet::resnet34(),
-        zoo::resnet::resnet50(),
-        zoo::vgg::vgg11(),
-        zoo::vgg::vgg16(),
-        zoo::densenet::densenet121(),
-        zoo::mobilenet::mobilenet_v2(1.0, 1.0),
-        zoo::squeezenet::squeezenet(128, 128, 0.125),
-    ]
-}
+/// Repeated `--smoke` runs on one box mostly land within 10 % of the
+/// median, but an occasional slow run reads up to 2x; 3x clears that.
+const MAX_NS_PER_KERNEL_REGRESSION: f64 = 3.0;
 
 /// The prediction sweep: held-out networks across a batch scan — the
 /// repeated-request pattern the plan cache exists for.
@@ -118,107 +58,13 @@ fn sweep_pairs() -> Vec<(Network, usize)> {
     pairs
 }
 
-struct Flags {
-    smoke: bool,
-    train_scaling: bool,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        smoke: false,
-        train_scaling: false,
-        out: None,
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--train-scaling" => flags.train_scaling = true,
-            "--out" => flags.out = args.next(),
-            "--check" => flags.check = args.next(),
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    flags.out = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    flags.check = Some(v.to_string());
-                } else {
-                    eprintln!("perf: unknown flag {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    flags
-}
-
-struct Report {
-    profile: &'static str,
-    cores: usize,
-    sweep_pairs: usize,
-    sweep_kernel_terms: usize,
-    warm_ns_per_kernel: f64,
-    warm_vs_legacy_speedup: f64,
-    workflow_over_sweep: f64,
-    server_over_workflow: f64,
-    train_speedup_threads8: f64,
-    entries: Vec<BenchResult>,
-}
-
-impl Report {
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dnnperf-bench-5\",\n");
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"sweep_pairs\": {},\n", self.sweep_pairs));
-        out.push_str(&format!(
-            "  \"sweep_kernel_terms\": {},\n",
-            self.sweep_kernel_terms
-        ));
-        out.push_str(&format!(
-            "  \"warm_predict_ns_per_kernel\": {:.3},\n",
-            self.warm_ns_per_kernel
-        ));
-        out.push_str(&format!(
-            "  \"warm_vs_legacy_speedup\": {:.2},\n",
-            self.warm_vs_legacy_speedup
-        ));
-        out.push_str(&format!(
-            "  \"workflow_over_sweep\": {:.2},\n",
-            self.workflow_over_sweep
-        ));
-        out.push_str(&format!(
-            "  \"server_over_workflow\": {:.2},\n",
-            self.server_over_workflow
-        ));
-        out.push_str(&format!(
-            "  \"train_speedup_threads8\": {:.2},\n",
-            self.train_speedup_threads8
-        ));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let sep = if i + 1 == self.entries.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", e.json_line()));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
 fn run(smoke: bool) -> Report {
-    // (warmup, iters) per stage; collection and training are orders of
-    // magnitude slower than prediction, so they get fewer iterations.
+    // (warmup, iters) per stage; collection is orders of magnitude slower
+    // than prediction, so it gets fewer iterations.
     let (slow_w, slow_i, fast_w, fast_i) = if smoke { (1, 3, 2, 9) } else { (2, 9, 5, 41) };
 
     let gpu = GpuSpec::by_name("A100").expect("A100 spec");
-    let nets = train_nets();
-    // A multi-batch grid: every kernel symbol accumulates rows from each
-    // (network, batch) point, so the per-kernel classification fits carry
-    // real work for the training pool to split.
+    let nets = dnnperf_bench::gate_train_nets();
     let batches = [8usize, 16, 32, 64];
     let mut entries = Vec::new();
 
@@ -226,13 +72,6 @@ fn run(smoke: bool) -> Report {
         collect(&nets, std::slice::from_ref(&gpu), &batches)
     }));
     let ds = collect(&nets, std::slice::from_ref(&gpu), &batches);
-
-    let t1 = bench("train/threads1", slow_w, slow_i, || {
-        Workflow::train_opts(&ds, "A100", &TrainOptions::serial()).expect("train")
-    });
-    let t8 = bench("train/threads8", slow_w, slow_i, || {
-        Workflow::train_opts(&ds, "A100", &TrainOptions::with_threads(8)).expect("train")
-    });
 
     let suite = Arc::new(Workflow::train(&ds, "A100").expect("train"));
     let pairs = sweep_pairs();
@@ -299,299 +138,64 @@ fn run(smoke: bool) -> Report {
     let warm_vs_legacy_speedup = legacy.median_ns / warm.median_ns;
     let workflow_over_sweep = warm.median_ns / plan_sweep.median_ns;
     let server_over_workflow = server_sweep.median_ns / warm.median_ns;
-    let train_speedup_threads8 = t1.median_ns / t8.median_ns;
-    entries.insert(1, t1);
-    entries.insert(2, t8);
-    entries.push(warm);
-    entries.push(server_sweep);
-    entries.push(plan_sweep);
-    entries.push(legacy);
-
-    Report {
-        profile: if smoke { "smoke" } else { "full" },
-        cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        sweep_pairs: pairs.len(),
-        sweep_kernel_terms,
-        warm_ns_per_kernel,
-        warm_vs_legacy_speedup,
-        workflow_over_sweep,
-        server_over_workflow,
-        train_speedup_threads8,
-        entries,
-    }
-}
-
-/// The enlarged training grid for the scaling sweep: enough networks and
-/// batch points that the per-kernel row counts give the chunked
-/// accumulators real work to split across workers.
-fn scaling_nets() -> Vec<Network> {
-    let mut nets = train_nets();
-    nets.extend([
-        zoo::resnet::resnet77(),
-        zoo::resnet::resnet101(),
-        zoo::vgg::vgg13(),
-        zoo::densenet::densenet169(),
-    ]);
-    nets
-}
-
-struct ScalingReport {
-    profile: &'static str,
-    cores: usize,
-    train_rows: usize,
-    kernel_groups: usize,
-    ns_per_row_threads1: f64,
-    speedups: [f64; 4],
-    entries: Vec<BenchResult>,
-}
-
-impl ScalingReport {
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dnnperf-bench-9\",\n");
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"train_rows\": {},\n", self.train_rows));
-        out.push_str(&format!("  \"kernel_groups\": {},\n", self.kernel_groups));
-        out.push_str(&format!(
-            "  \"train_ns_per_row_threads1\": {:.3},\n",
-            self.ns_per_row_threads1
-        ));
-        for (t, s) in SCALING_THREADS.iter().zip(self.speedups) {
-            out.push_str(&format!("  \"train_speedup_threads{t}\": {s:.2},\n"));
-        }
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let sep = if i + 1 == self.entries.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", e.json_line()));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-fn run_train_scaling(smoke: bool) -> ScalingReport {
-    let (warm, iters) = if smoke { (1, 5) } else { (2, 15) };
-
-    let gpu = GpuSpec::by_name("A100").expect("A100 spec");
-    let nets = scaling_nets();
-    let batches = [4usize, 8, 16, 32, 64];
-    let ds = collect(&nets, std::slice::from_ref(&gpu), &batches);
-    let rows: Vec<&dnnperf_data::KernelRow> = ds.kernels.iter().collect();
-    let view = DatasetView::from_refs(&rows);
-    let train_rows = view.num_rows();
-    let kernel_groups = view.num_groups();
-
-    // Byte-identity first: the whole point of the canonical FIT_CHUNK
-    // reduction tree is that thread count never changes the model. Abort
-    // before timing anything if it does.
-    let reference = Workflow::train_opts(&ds, "A100", &TrainOptions::serial())
-        .expect("train")
-        .kw
-        .to_text();
-    let auto = TrainOptions::from_env();
-    let candidates = SCALING_THREADS
-        .iter()
-        .map(|&t| (format!("threads{t}"), TrainOptions::with_threads(t)))
-        .chain([(format!("auto({})", auto.effective_threads()), auto.clone())]);
-    for (label, opts) in candidates {
-        let text = Workflow::train_opts(&ds, "A100", &opts)
-            .expect("train")
-            .kw
-            .to_text();
-        if text != reference {
-            eprintln!(
-                "ABORT: training at {label} produced a model that differs \
-                 from the serial reference — determinism contract violated"
-            );
-            std::process::exit(1);
-        }
-    }
-
-    let entries: Vec<BenchResult> = SCALING_THREADS
-        .iter()
-        .map(|&t| {
-            let opts = TrainOptions::with_threads(t);
-            bench(
-                match t {
-                    1 => "train/threads1",
-                    2 => "train/threads2",
-                    4 => "train/threads4",
-                    _ => "train/threads8",
-                },
-                warm,
-                iters,
-                || Workflow::train_opts(&ds, "A100", &opts).expect("train"),
-            )
-        })
-        .collect();
-
-    let t1_ns = entries[0].median_ns;
-    let speedups = [
-        1.0,
-        t1_ns / entries[1].median_ns,
-        t1_ns / entries[2].median_ns,
-        t1_ns / entries[3].median_ns,
-    ];
-
-    ScalingReport {
-        profile: if smoke { "smoke" } else { "full" },
-        cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        train_rows,
-        kernel_groups,
-        ns_per_row_threads1: t1_ns / train_rows.max(1) as f64,
-        speedups,
-        entries,
-    }
-}
-
-fn main_train_scaling(flags: &Flags) {
-    dnnperf_bench::banner("PERF", "training scaling sweep (mergeable accumulators)");
-    let report = run_train_scaling(flags.smoke);
     println!();
     println!(
-        "train grid: {} rows, {} kernel groups, {} core{}  \
-         (serial {:.0} ns/row)",
-        report.train_rows,
-        report.kernel_groups,
-        report.cores,
-        if report.cores == 1 { "" } else { "s" },
-        report.ns_per_row_threads1
+        "warm predict: {warm_ns_per_kernel:.1} ns/kernel over {sweep_kernel_terms} terms \
+         ({} sweep pairs); warm vs legacy speedup: {warm_vs_legacy_speedup:.2}x",
+        pairs.len()
     );
-    for (t, s) in SCALING_THREADS.iter().zip(report.speedups) {
-        println!("  threads {t}: {s:.2}x");
-    }
-    println!("byte-identity: OK at every thread count");
+    println!(
+        "workflow over plan sweep: {workflow_over_sweep:.2}x   \
+         server over workflow: {server_over_workflow:.2}x"
+    );
+    entries.extend([warm, server_sweep, plan_sweep, legacy]);
 
-    if let Some(path) = &flags.out {
-        std::fs::write(path, report.to_json()).expect("write report");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &flags.check {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("perf --check: cannot read {path}: {e}"));
-        let base_ns_row = json_number(&baseline, "train_ns_per_row_threads1")
-            .unwrap_or_else(|| panic!("perf --check: no train_ns_per_row_threads1 in {path}"));
-        let mut failed = false;
-        if report.cores >= MIN_CORES_FOR_SPEEDUP_GATE {
-            let s8 = report.speedups[3];
-            if s8 < MIN_TRAIN_SPEEDUP_THREADS8 {
-                eprintln!(
-                    "GATE FAIL: train speedup at 8 threads {s8:.2}x below the \
-                     {MIN_TRAIN_SPEEDUP_THREADS8}x floor ({} cores)",
-                    report.cores
-                );
-                failed = true;
-            }
-        } else {
-            // Too few cores for parallel speedup to exist; gate serial
-            // throughput instead so training perf cannot silently rot.
-            let limit = base_ns_row * MAX_TRAIN_NS_PER_ROW_REGRESSION;
-            if report.ns_per_row_threads1 > limit {
-                eprintln!(
-                    "GATE FAIL: serial training {:.0} ns/row exceeds {:.0} \
-                     (baseline {:.0} x {MAX_TRAIN_NS_PER_ROW_REGRESSION})",
-                    report.ns_per_row_threads1, limit, base_ns_row
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate OK: speedup@8 {:.2}x on {} core(s), serial {:.0} ns/row (baseline {:.0})",
-            report.speedups[3], report.cores, report.ns_per_row_threads1, base_ns_row
-        );
+    Report {
+        schema: "dnnperf-bench-5",
+        figures: vec![
+            Figure::count("sweep_pairs", pairs.len() as u64, Rule::Record),
+            Figure::count(
+                "sweep_kernel_terms",
+                sweep_kernel_terms as u64,
+                Rule::Record,
+            ),
+            Figure::fixed(
+                "warm_predict_ns_per_kernel",
+                warm_ns_per_kernel,
+                3,
+                Rule::AtMostTimes(MAX_NS_PER_KERNEL_REGRESSION),
+            ),
+            // The compiled sweep must stay well ahead of the uncompiled
+            // path it replaces.
+            Figure::fixed(
+                "warm_vs_legacy_speedup",
+                warm_vs_legacy_speedup,
+                2,
+                Rule::AtLeast(5.0),
+            ),
+            // The fingerprint and cache lookup may at most double the cost
+            // of the plan sweep they front.
+            Figure::fixed(
+                "workflow_over_sweep",
+                workflow_over_sweep,
+                2,
+                Rule::AtMost(2.0),
+            ),
+            // A warm hit is answered on the caller's thread, so resolution
+            // and admission may at most quadruple the cost.
+            Figure::fixed(
+                "server_over_workflow",
+                server_over_workflow,
+                2,
+                Rule::AtMost(4.0),
+            ),
+        ],
+        entries,
     }
 }
 
 fn main() {
-    let flags = parse_flags();
-    if flags.train_scaling {
-        main_train_scaling(&flags);
-        return;
-    }
-    dnnperf_bench::banner(
-        "PERF",
-        "compiled-plan serving and pooled-training microbenchmarks",
-    );
-
-    let report = run(flags.smoke);
-    println!();
-    println!(
-        "warm predict: {:.1} ns/kernel over {} terms ({} sweep pairs)",
-        report.warm_ns_per_kernel, report.sweep_kernel_terms, report.sweep_pairs
-    );
-    println!(
-        "workflow over plan sweep: {:.2}x   server over workflow: {:.2}x",
-        report.workflow_over_sweep, report.server_over_workflow
-    );
-    println!(
-        "warm vs legacy speedup: {:.2}x   train speedup (8 threads, {} core{}): {:.2}x",
-        report.warm_vs_legacy_speedup,
-        report.cores,
-        if report.cores == 1 { "" } else { "s" },
-        report.train_speedup_threads8
-    );
-
-    if let Some(path) = &flags.out {
-        std::fs::write(path, report.to_json()).expect("write report");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &flags.check {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("perf --check: cannot read {path}: {e}"));
-        let base_ns = json_number(&baseline, "warm_predict_ns_per_kernel")
-            .unwrap_or_else(|| panic!("perf --check: no warm_predict_ns_per_kernel in {path}"));
-        let mut failed = false;
-        let limit = base_ns * MAX_NS_PER_KERNEL_REGRESSION;
-        if report.warm_ns_per_kernel > limit {
-            eprintln!(
-                "GATE FAIL: warm predict {:.1} ns/kernel exceeds {:.1} \
-                 (baseline {:.1} x {MAX_NS_PER_KERNEL_REGRESSION})",
-                report.warm_ns_per_kernel, limit, base_ns
-            );
-            failed = true;
-        }
-        if report.warm_vs_legacy_speedup < MIN_WARM_SPEEDUP {
-            eprintln!(
-                "GATE FAIL: warm-vs-legacy speedup {:.2}x below the {MIN_WARM_SPEEDUP}x floor",
-                report.warm_vs_legacy_speedup
-            );
-            failed = true;
-        }
-        if report.workflow_over_sweep > MAX_WORKFLOW_OVER_SWEEP {
-            eprintln!(
-                "GATE FAIL: warm Workflow::predict sweep is {:.2}x the plan sweep, \
-                 above the {MAX_WORKFLOW_OVER_SWEEP}x ceiling",
-                report.workflow_over_sweep
-            );
-            failed = true;
-        }
-        if report.server_over_workflow > MAX_SERVER_OVER_WORKFLOW {
-            eprintln!(
-                "GATE FAIL: warm in-process server sweep is {:.2}x the Workflow::predict \
-                 sweep, above the {MAX_SERVER_OVER_WORKFLOW}x ceiling",
-                report.server_over_workflow
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate OK: {:.1} ns/kernel (limit {:.1}), speedup {:.2}x (floor {MIN_WARM_SPEEDUP}x), \
-             workflow/sweep {:.2}x (ceiling {MAX_WORKFLOW_OVER_SWEEP}x), \
-             server/workflow {:.2}x (ceiling {MAX_SERVER_OVER_WORKFLOW}x)",
-            report.warm_ns_per_kernel,
-            limit,
-            report.warm_vs_legacy_speedup,
-            report.workflow_over_sweep,
-            report.server_over_workflow
-        );
-    }
+    let gate = Gate::from_args("perf");
+    dnnperf_bench::banner("PERF", "compiled-plan serving microbenchmarks");
+    gate.finish(&run(gate.smoke));
 }

@@ -3,10 +3,12 @@
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md's per-experiment index). This library holds the pieces
 //! they share: dataset construction, the canonical train/test split,
-//! measurement shortcuts and plain-text table/S-curve printers.
+//! measurement shortcuts and plain-text table/S-curve printers, plus the
+//! benchmark-gate harness ([`gate`]) behind the CI gate bins.
 
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod timer;
 
 use dnnperf_data::collect::{collect_report_opts, collect_training_report_opts, TRAIN_BATCH};
@@ -157,6 +159,21 @@ pub fn collect_training_verbose(nets: &[Network], gpus: &[GpuSpec], batches: &[u
 /// The full 646-CNN zoo.
 pub fn cnn_zoo() -> Vec<Network> {
     zoo::cnn_zoo()
+}
+
+/// The 8-network training set of the `perf`, `train_scaling` and
+/// `loadgen` gates: a spread of CNN families small enough for CI.
+pub fn gate_train_nets() -> Vec<Network> {
+    vec![
+        zoo::resnet::resnet18(),
+        zoo::resnet::resnet34(),
+        zoo::resnet::resnet50(),
+        zoo::vgg::vgg11(),
+        zoo::vgg::vgg16(),
+        zoo::densenet::densenet121(),
+        zoo::mobilenet::mobilenet_v2(1.0, 1.0),
+        zoo::squeezenet::squeezenet(128, 128, 0.125),
+    ]
 }
 
 /// The paper's training batch size.
@@ -318,17 +335,6 @@ macro_rules! cells {
     };
 }
 
-/// Extracts the number following `"key":` from a (flat) JSON document —
-/// how every `--check` gate reads its committed `BENCH_*.json` baseline.
-/// `None` when the key is missing or its value is not a number.
-pub fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// Advances a 64-bit LCG (Knuth's MMIX constants) and returns its top 31
 /// bits: the seeded request mix of the load and chaos generators.
 pub fn lcg_next(state: &mut u64) -> u64 {
@@ -426,21 +432,5 @@ mod tests {
         let filtered = networks_in(&pool, &ds);
         assert_eq!(filtered.len(), 1);
         assert_eq!(filtered[0].name(), "ResNet-18");
-    }
-
-    #[test]
-    fn json_number_reads_flat_baselines() {
-        let doc =
-            "{\n  \"schema\": \"x\",\n  \"p99_us\": 1.5e3,\n  \"delta\": -0.25,\n  \"tail\": 7}";
-        assert_eq!(json_number(doc, "p99_us"), Some(1500.0));
-        assert_eq!(json_number(doc, "delta"), Some(-0.25));
-        // The last key is terminated by the closing brace, not a comma.
-        assert_eq!(json_number(doc, "tail"), Some(7.0));
-        assert_eq!(json_number(doc, "missing"), None);
-        // A key that is only a suffix of another key does not match it.
-        assert_eq!(json_number(doc, "us"), None);
-        // A string value is not a number.
-        assert_eq!(json_number(doc, "schema"), None);
-        assert_eq!(json_number("{\"a\":-1E-6}", "a"), Some(-1e-6));
     }
 }
