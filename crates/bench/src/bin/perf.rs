@@ -18,7 +18,12 @@
 //! * **server over workflow** — the same warm sweep through an in-process
 //!   [`PredictionServer::predict`] (tenant and catalog resolution,
 //!   admission, inline cache hit) over the warm `Workflow::predict`
-//!   sweep: what the serving layer adds on top of the layer below it.
+//!   sweep: what the serving layer adds on top of the layer below it;
+//! * **compile over sweep** — the cold sweep (compile every pair's plan,
+//!   then sweep it) over the plan sweep of the same pairs: the cost of a
+//!   cache miss in units of the hit it turns into. Gated against the
+//!   committed baseline, so the compile path (mapping-table probes and
+//!   the nearest-signature fallback) cannot quietly slow down.
 //!
 //! Training throughput and scaling live in the `train_scaling` bin.
 //! Flags and the report format are the shared gate interface
@@ -38,6 +43,13 @@ use std::sync::Arc;
 /// Repeated `--smoke` runs on one box mostly land within 10 % of the
 /// median, but an occasional slow run reads up to 2x; 3x clears that.
 const MAX_NS_PER_KERNEL_REGRESSION: f64 = 3.0;
+
+/// Maximum tolerated regression of compile-over-sweep vs the baseline.
+/// Repeated `--smoke` runs on one box mostly read within 15 % of the
+/// baseline, with outliers from 0.6x to 1.75x; 2.5x clears those and
+/// still fails a compile path that allocates and takes logarithms per
+/// mapping-table probe, which reads 2.2x to 4.7x.
+const MAX_COMPILE_OVER_SWEEP_REGRESSION: f64 = 2.5;
 
 /// The prediction sweep: held-out networks across a batch scan — the
 /// repeated-request pattern the plan cache exists for.
@@ -86,7 +98,7 @@ fn run(smoke: bool) -> Report {
         CompiledPlan::compile(&suite, net0, batch0).expect("compile")
     }));
 
-    entries.push(bench("predict/cold_sweep", fast_w, fast_i, || {
+    let cold = bench("predict/cold_sweep", fast_w, fast_i, || {
         pairs
             .iter()
             .map(|(n, b)| {
@@ -95,7 +107,9 @@ fn run(smoke: bool) -> Report {
                     .predict()
             })
             .sum::<f64>()
-    }));
+    });
+    let cold_ns = cold.median_ns;
+    entries.push(cold);
     let warm = bench("predict/warm_sweep", fast_w, fast_i, || {
         pairs
             .iter()
@@ -138,6 +152,7 @@ fn run(smoke: bool) -> Report {
     let warm_vs_legacy_speedup = legacy.median_ns / warm.median_ns;
     let workflow_over_sweep = warm.median_ns / plan_sweep.median_ns;
     let server_over_workflow = server_sweep.median_ns / warm.median_ns;
+    let compile_over_sweep = cold_ns / plan_sweep.median_ns;
     println!();
     println!(
         "warm predict: {warm_ns_per_kernel:.1} ns/kernel over {sweep_kernel_terms} terms \
@@ -146,7 +161,8 @@ fn run(smoke: bool) -> Report {
     );
     println!(
         "workflow over plan sweep: {workflow_over_sweep:.2}x   \
-         server over workflow: {server_over_workflow:.2}x"
+         server over workflow: {server_over_workflow:.2}x   \
+         compile over sweep: {compile_over_sweep:.1}x"
     );
     entries.extend([warm, server_sweep, plan_sweep, legacy]);
 
@@ -188,6 +204,13 @@ fn run(smoke: bool) -> Report {
                 server_over_workflow,
                 2,
                 Rule::AtMost(4.0),
+            ),
+            // A plan compile stays a bounded number of sweeps of that plan.
+            Figure::fixed(
+                "compile_over_sweep",
+                compile_over_sweep,
+                1,
+                Rule::AtMostTimes(MAX_COMPILE_OVER_SWEEP_REGRESSION),
             ),
         ],
         entries,

@@ -243,7 +243,8 @@ impl IgkwModel {
             .trim()
             .parse()
             .map_err(|_| cur.parse_err(format!("bad GPU count {rest:?}")))?;
-        let mut train_gpus = Vec::with_capacity(n_gpus);
+        // The count sizes nothing (see `KwModel::from_text`).
+        let mut train_gpus = Vec::new();
         for _ in 0..n_gpus {
             train_gpus.push(cur.keyword("traingpu")?.to_string());
         }

@@ -296,7 +296,9 @@ impl KwModel {
         let mut parts = rest.split_whitespace();
         let n_models: usize = field(&cur, &mut parts, "model count")?;
         let n_assign: usize = field(&cur, &mut parts, "assignment count")?;
-        let mut models = Vec::with_capacity(n_models);
+        // Counts read from the file size nothing: a hostile count runs out
+        // of lines instead of aborting on one huge allocation.
+        let mut models = Vec::new();
         for _ in 0..n_models {
             let rest = cur.keyword("model")?;
             let mut parts = rest.split_whitespace();

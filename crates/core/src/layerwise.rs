@@ -68,15 +68,15 @@ impl LwModel {
                 gpu: gpu.to_string(),
             });
         }
-        let mut grouped: BTreeMap<String, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
+        let mut grouped: BTreeMap<&str, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
         for r in &rows {
-            let entry = grouped.entry(r.layer_type.to_string()).or_default();
+            let entry = grouped.entry(&r.layer_type).or_default();
             entry.0.push(r.flops as f64);
             entry.1.push(r.seconds);
         }
         let per_type = grouped
             .into_iter()
-            .map(|(tag, (xs, ys))| (tag, fit_or_constant(estimator, &xs, &ys)))
+            .map(|(tag, (xs, ys))| (tag.to_string(), fit_or_constant(estimator, &xs, &ys)))
             .collect();
         let xs: Vec<f64> = rows.iter().map(|r| r.flops as f64).collect();
         let ys: Vec<f64> = rows.iter().map(|r| r.seconds).collect();

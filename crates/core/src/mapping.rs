@@ -9,7 +9,9 @@
 //! Keys are *per-sample* (batch-normalised) layer signatures so that a table
 //! built at the training batch size applies to any batch size. Lookups fall
 //! back to the nearest recorded signature of the same layer type (log-space
-//! distance) for shapes unseen in training.
+//! distance) for shapes unseen in training. Each recorded signature keeps
+//! its log-space coordinates from insertion, so a fallback lookup takes the
+//! query's three logarithms once and one distance per candidate.
 
 use dnnperf_data::KernelRow;
 use dnnperf_dnn::flops::layer_flops;
@@ -54,8 +56,10 @@ impl LayerSignature {
         }
     }
 
-    /// Squared log-space distance to another signature (for nearest-match
-    /// fallback). Only meaningful between signatures of the same tag.
+    /// Squared log-space distance to another signature: the reference
+    /// the stored-coordinate search of [`KernelMap::kernels_for`] must
+    /// match bit for bit.
+    #[cfg(test)]
     fn distance(&self, other: &LayerSignature) -> f64 {
         fn d(a: u64, b: u64) -> f64 {
             let la = ((a + 1) as f64).ln();
@@ -68,11 +72,40 @@ impl LayerSignature {
     }
 }
 
+/// `ln(x + 1)` of a signature's three per-sample sizes: its coordinates
+/// for the nearest-signature fallback.
+fn log_coords(in_per: u64, flops_per: u64, out_per: u64) -> [f64; 3] {
+    [
+        ((in_per + 1) as f64).ln(),
+        ((flops_per + 1) as f64).ln(),
+        ((out_per + 1) as f64).ln(),
+    ]
+}
+
+/// Squared log-space distance between two coordinate triples. The same f64
+/// operations in the same order as taking the logarithms inline, so stored
+/// coordinates give bit-identical distances.
+fn log_distance(query: &[f64; 3], candidate: &[f64; 3]) -> f64 {
+    let d = |a: f64, b: f64| (a - b) * (a - b);
+    let ([qi, qf, qo], [ci, cf, co]) = (query, candidate);
+    d(*qi, *ci) + d(*qf, *cf) + d(*qo, *co)
+}
+
+/// A recorded signature with its log-space coordinates, computed once when
+/// the signature is inserted.
+#[derive(Debug, Clone)]
+struct Candidate {
+    sig: LayerSignature,
+    logs: [f64; 3],
+}
+
 /// The learned mapping from layer signatures to kernel name lists.
 #[derive(Debug, Clone, Default)]
 pub struct KernelMap {
     exact: BTreeMap<LayerSignature, Vec<Arc<str>>>,
-    by_tag: BTreeMap<Arc<str>, Vec<LayerSignature>>,
+    /// Per tag, the recorded signatures in insertion order: the fallback's
+    /// candidates, whose order decides distance ties (first wins).
+    by_tag: BTreeMap<Arc<str>, Vec<Candidate>>,
 }
 
 impl PartialEq for KernelMap {
@@ -111,19 +144,21 @@ impl KernelMap {
     pub fn from_row_refs(rows: &[&KernelRow]) -> Self {
         let mut map = KernelMap::default();
         let mut i = 0;
-        while i < rows.len() {
-            let Some(r) = rows.get(i) else { break };
-            let mut kernels = vec![r.kernel.clone()];
+        while let Some(r) = rows.get(i) {
             let mut j = i + 1;
-            while let Some(next) = rows.get(j) {
-                if !same_layer_execution(r, next) {
-                    break;
-                }
-                kernels.push(next.kernel.clone());
+            while rows
+                .get(j)
+                .is_some_and(|next| same_layer_execution(r, next))
+            {
                 j += 1;
             }
+            // First write wins, so only a new signature's kernels are
+            // collected: most layer executions repeat a recorded one.
             let sig = LayerSignature::of_row(r);
-            map.insert(sig, kernels);
+            if !map.exact.contains_key(&sig) {
+                let kernels = rows.get(i..j).unwrap_or_default();
+                map.insert_new(sig, kernels.iter().map(|k| k.kernel.clone()).collect());
+            }
             i = j;
         }
         map
@@ -132,12 +167,21 @@ impl KernelMap {
     /// Inserts one signature -> kernel-list entry (first write wins).
     pub fn insert(&mut self, sig: LayerSignature, kernels: Vec<Arc<str>>) {
         if !self.exact.contains_key(&sig) {
-            self.by_tag
-                .entry(sig.tag.clone())
-                .or_default()
-                .push(sig.clone());
-            self.exact.insert(sig, kernels);
+            self.insert_new(sig, kernels);
         }
+    }
+
+    /// Records a signature the table does not hold yet.
+    fn insert_new(&mut self, sig: LayerSignature, kernels: Vec<Arc<str>>) {
+        let logs = log_coords(sig.in_per, sig.flops_per, sig.out_per);
+        self.by_tag
+            .entry(sig.tag.clone())
+            .or_default()
+            .push(Candidate {
+                sig: sig.clone(),
+                logs,
+            });
+        self.exact.insert(sig, kernels);
     }
 
     /// Merges another table into this one (first write wins per signature).
@@ -172,15 +216,36 @@ impl KernelMap {
     /// for types like `flatten` that launch no kernels, is the correct
     /// "free" answer.
     pub fn kernels_for(&self, layer: &Layer) -> Option<&[Arc<str>]> {
-        let sig = LayerSignature::of_layer(layer);
+        self.lookup(
+            layer.type_tag(),
+            layer.input.elems() as u64,
+            layer_flops(layer),
+            layer.output.elems() as u64,
+        )
+    }
+
+    /// [`KernelMap::kernels_for`] on a signature given by its parts. The
+    /// tag is borrowed from the table's own key, so a lookup allocates
+    /// nothing; an unknown tag has no candidates and returns `None`.
+    fn lookup(&self, tag: &str, in_per: u64, flops_per: u64, out_per: u64) -> Option<&[Arc<str>]> {
+        let (tag, candidates) = self.by_tag.get_key_value(tag)?;
+        let sig = LayerSignature {
+            tag: Arc::clone(tag),
+            in_per,
+            flops_per,
+            out_per,
+        };
         if let Some(k) = self.exact.get(&sig) {
             return Some(k);
         }
-        let candidates = self.by_tag.get(&sig.tag)?;
-        let nearest = candidates
+        let query = log_coords(in_per, flops_per, out_per);
+        // `min_by` keeps the first of equal minima: insertion order breaks
+        // distance ties.
+        let (_, nearest) = candidates
             .iter()
-            .min_by(|a, b| sig.distance(a).total_cmp(&sig.distance(b)))?;
-        self.exact.get(nearest).map(Vec::as_slice)
+            .map(|c| (log_distance(&query, &c.logs), c))
+            .min_by(|a, b| a.0.total_cmp(&b.0))?;
+        self.exact.get(&nearest.sig).map(Vec::as_slice)
     }
 }
 
@@ -259,6 +324,7 @@ mod tests {
     use dnnperf_data::collect::collect;
     use dnnperf_dnn::zoo;
     use dnnperf_gpu::GpuSpec;
+    use dnnperf_testkit::prelude::*;
 
     fn a100_map(nets: &[dnnperf_dnn::Network], batch: usize) -> KernelMap {
         let ds = collect(nets, &[GpuSpec::by_name("A100").unwrap()], &[batch]);
@@ -326,6 +392,167 @@ mod tests {
         )
         .unwrap();
         assert!(map.kernels_for(&ln).is_none());
+    }
+
+    /// First-write-wins entries in insertion order: the reference's table.
+    type Entries = Vec<(LayerSignature, Vec<Arc<str>>)>;
+
+    /// Inserts `sigs` into a table and into the reference list, each with a
+    /// one-kernel list naming its position, so a result names its entry.
+    fn build(sigs: &[LayerSignature]) -> (KernelMap, Entries) {
+        let mut map = KernelMap::default();
+        let mut entries: Entries = Vec::new();
+        for (i, sig) in sigs.iter().enumerate() {
+            let kernels = vec![Arc::from(format!("k{i}"))];
+            map.insert(sig.clone(), kernels.clone());
+            if !entries.iter().any(|(s, _)| s == sig) {
+                entries.push((sig.clone(), kernels));
+            }
+        }
+        (map, entries)
+    }
+
+    /// The brute-force lookup the table must equal: an exact match, else
+    /// the first-inserted signature of the same tag at minimum
+    /// [`LayerSignature::distance`].
+    fn reference<'a>(entries: &'a Entries, q: &LayerSignature) -> Option<&'a [Arc<str>]> {
+        if let Some((_, k)) = entries.iter().find(|(s, _)| s == q) {
+            return Some(k);
+        }
+        entries
+            .iter()
+            .filter(|(s, _)| s.tag == q.tag)
+            .min_by(|a, b| q.distance(&a.0).total_cmp(&q.distance(&b.0)))
+            .map(|(_, k)| k.as_slice())
+    }
+
+    fn sig(tag: &str, [in_per, flops_per, out_per]: [u64; 3]) -> LayerSignature {
+        LayerSignature {
+            tag: Arc::from(tag),
+            in_per,
+            flops_per,
+            out_per,
+        }
+    }
+
+    /// A per-sample size from a small pool plus a small offset. Past 2^53,
+    /// neighbouring values convert to the same f64, so the pool yields
+    /// exact distance ties between distinct signatures.
+    fn arb_size() -> impl Gen<Value = u64> {
+        (
+            select(vec![0u64, 1, 6, 255, 4096, 1 << 20, 1 << 54]),
+            0u64..3,
+        )
+            .prop_map(|(base, offset)| base + offset)
+    }
+
+    fn arb_sig() -> impl Gen<Value = LayerSignature> {
+        (
+            select(vec!["conv", "bn", "ln"]),
+            arb_size(),
+            arb_size(),
+            arb_size(),
+        )
+            .prop_map(|(tag, i, f, o)| sig(tag, [i, f, o]))
+    }
+
+    /// A random 2-D convolution, `None` when its window does not fit.
+    fn arb_conv() -> impl Gen<Value = Layer> {
+        (
+            1usize..48,
+            1usize..48,
+            select(vec![1usize, 3, 5, 7]),
+            1usize..3,
+            0usize..3,
+            2usize..40,
+        )
+            .prop_filter_map("conv window must fit", |(ci, co, k, stride, pad, hw)| {
+                dnnperf_dnn::Layer::apply(
+                    dnnperf_dnn::LayerKind::Conv2d(dnnperf_dnn::Conv2d::square(
+                        ci, co, k, stride, pad,
+                    )),
+                    dnnperf_dnn::TensorShape::chw(ci, hw, hw),
+                )
+                .ok()
+            })
+    }
+
+    fn names(kernels: Option<&[Arc<str>]>) -> Option<Vec<&str>> {
+        kernels.map(|ks| ks.iter().map(|k| &**k).collect())
+    }
+
+    /// Two distinct signatures at exactly the same distance from any query:
+    /// `base` with one size set to 2^54 - 1 and to 2^54, which both
+    /// convert to 2^54 as f64 after the `+ 1`. `flip` picks which one is
+    /// inserted first.
+    fn twins((base, coord, flip): &(LayerSignature, usize, bool)) -> [LayerSignature; 2] {
+        let with = |v: u64| {
+            let mut s = base.clone();
+            match coord {
+                0 => s.in_per = v,
+                1 => s.flops_per = v,
+                _ => s.out_per = v,
+            }
+            s
+        };
+        let (lo, hi) = (with((1 << 54) - 1), with(1 << 54));
+        if *flip {
+            [hi, lo]
+        } else {
+            [lo, hi]
+        }
+    }
+
+    props! {
+        #[test]
+        fn nearest_lookup_equals_brute_force(
+            sigs in vec(arb_sig(), 0..40),
+            tied in vec((arb_sig(), 0usize..3, any_bool()), 0..6),
+            queries in vec(arb_sig(), 1..20),
+        ) {
+            // Tied pairs are recorded after the random set; their bases
+            // are queried, so the tie often decides the answer.
+            let sigs: Vec<LayerSignature> =
+                sigs.into_iter().chain(tied.iter().flat_map(twins)).collect();
+            let (map, entries) = build(&sigs);
+            // Every recorded signature must hit itself, and every query
+            // must land where the reference search lands.
+            for q in sigs.iter().chain(&queries).chain(tied.iter().map(|t| &t.0)) {
+                let got = map.lookup(&q.tag, q.in_per, q.flops_per, q.out_per);
+                prop_assert_eq!(names(got), names(reference(&entries, q)), "query {:?}", q);
+            }
+        }
+
+        #[test]
+        fn kernels_for_random_layers_equals_brute_force(recorded in vec(arb_conv(), 1..30), sizes in vec((arb_size(), arb_size(), arb_size()), 0..10), queries in vec(arb_conv(), 1..20)) {
+            let sigs: Vec<LayerSignature> = recorded
+                .iter()
+                .map(LayerSignature::of_layer)
+                .chain(sizes.iter().map(|&(i, f, o)| sig("conv", [i, f, o])))
+                .collect();
+            let (map, entries) = build(&sigs);
+            for layer in recorded.iter().chain(&queries) {
+                let want = reference(&entries, &LayerSignature::of_layer(layer));
+                prop_assert_eq!(names(map.kernels_for(layer)), names(want), "layer {:?}", layer);
+            }
+        }
+    }
+
+    #[test]
+    fn distance_ties_go_to_the_first_inserted() {
+        // 2^54 + 1 and 2^54 + 2 both convert to 2^54 as f64: two distinct
+        // signatures at exactly the same distance from any query.
+        let a = sig("conv", [(1 << 54) - 1, 10, 10]);
+        let b = sig("conv", [1 << 54, 10, 10]);
+        let q = sig("conv", [5, 10, 10]);
+        assert_ne!(a, b);
+        assert_eq!(q.distance(&a).to_bits(), q.distance(&b).to_bits());
+        for order in [[&a, &b], [&b, &a]] {
+            let (map, entries) = build(&[order[0].clone(), order[1].clone()]);
+            let got = names(map.lookup("conv", 5, 10, 10));
+            assert_eq!(got, Some(vec!["k0"]));
+            assert_eq!(got, names(reference(&entries, &q)));
+        }
     }
 
     #[test]

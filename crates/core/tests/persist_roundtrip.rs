@@ -114,6 +114,48 @@ fn malformed_inputs_error_instead_of_panicking() {
     );
 }
 
+/// Replaces the one line starting with `keyword ` in a model file.
+fn with_line(text: &str, keyword: &str, line: &str) -> String {
+    let prefix = format!("{keyword} ");
+    assert_eq!(text.lines().filter(|l| l.starts_with(&prefix)).count(), 1);
+    text.lines()
+        .map(|l| if l.starts_with(&prefix) { line } else { l })
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+#[test]
+fn hostile_counts_are_typed_errors_not_allocations() {
+    // Counts read from a model file must size nothing: honoring either
+    // of these would mean one allocation of tens of terabytes.
+    let ds = dataset();
+    let kw = KwModel::train(&ds, "A100").unwrap().to_text();
+    let hostile = with_line(&kw, "clustering", "clustering 1099511627776 0");
+    let err = KwModel::from_text(&hostile).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PersistError::Parse { .. } | PersistError::UnexpectedEof
+        ),
+        "{err}"
+    );
+
+    let gpus = [
+        GpuSpec::by_name("A100").unwrap(),
+        GpuSpec::by_name("V100").unwrap(),
+    ];
+    let igkw = IgkwModel::train(&ds, &gpus).unwrap().to_text();
+    let hostile = with_line(&igkw, "traingpus", "traingpus 1099511627776");
+    let err = IgkwModel::from_text(&hostile).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PersistError::Parse { .. } | PersistError::UnexpectedEof
+        ),
+        "{err}"
+    );
+}
+
 #[test]
 fn model_files_are_human_readable() {
     let ds = dataset();

@@ -31,6 +31,7 @@ use crate::csv::{
     write_network_row, KERNEL_HEADER, LAYER_HEADER, NETWORK_HEADER,
 };
 use crate::dataset::Dataset;
+use crate::record::Interner;
 use dnnperf_dnn::flops::{layer_bytes, layer_flops};
 use dnnperf_dnn::Network;
 use dnnperf_gpu::GpuSpec;
@@ -309,24 +310,28 @@ impl DatasetCache {
         if next()? != NETWORK_HEADER {
             return None;
         }
+        // The counts come from the file, so they size nothing: the tables
+        // grow as rows parse, and a hostile count runs out of lines (a
+        // corrupt entry) instead of aborting on one huge allocation.
         let mut ds = Dataset::new();
-        ds.networks.reserve(n_networks);
+        let mut names = Interner::default();
         for _ in 0..n_networks {
-            ds.networks.push(parse_network_row(&next()?, 0).ok()?);
+            ds.networks
+                .push(parse_network_row(&next()?, 0, &mut names).ok()?);
         }
         if next()? != LAYER_HEADER {
             return None;
         }
-        ds.layers.reserve(n_layers);
         for _ in 0..n_layers {
-            ds.layers.push(parse_layer_row(&next()?, 0).ok()?);
+            ds.layers
+                .push(parse_layer_row(&next()?, 0, &mut names).ok()?);
         }
         if next()? != KERNEL_HEADER {
             return None;
         }
-        ds.kernels.reserve(n_kernels);
         for _ in 0..n_kernels {
-            ds.kernels.push(parse_kernel_row(&next()?, 0).ok()?);
+            ds.kernels
+                .push(parse_kernel_row(&next()?, 0, &mut names).ok()?);
         }
         // Trailing marker guards against truncation after a whole table.
         if next()? != "end" {
@@ -436,6 +441,30 @@ mod tests {
         std::fs::copy(cache.entry_path(1), cache.entry_path(2)).unwrap();
         assert!(cache.load(1).is_some());
         assert!(cache.load(2).is_none());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn hostile_row_counts_read_as_a_miss() {
+        // The counts line must size nothing: honoring this count would
+        // mean one allocation of tens of terabytes.
+        let cache = DatasetCache::new(tmp("hostile_counts"));
+        let ds = small_dataset();
+        cache.store(6, &ds).unwrap();
+        let text = std::fs::read_to_string(cache.entry_path(6)).unwrap();
+        let (n, l, k) = (ds.networks.len(), ds.layers.len(), ds.kernels.len());
+        let honest = format!("counts {n} {l} {k}");
+        assert!(text.contains(&honest));
+        let huge = 1u64 << 40;
+        for hostile in [
+            format!("counts {huge} {l} {k}"),
+            format!("counts {n} {huge} {k}"),
+            format!("counts {n} {l} {huge}"),
+        ] {
+            std::fs::write(cache.entry_path(6), text.replace(&honest, &hostile)).unwrap();
+            assert!(matches!(cache.lookup(6), CacheLookup::Corrupt), "{hostile}");
+            assert!(cache.load(6).is_none(), "{hostile}");
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

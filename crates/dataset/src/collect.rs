@@ -19,7 +19,7 @@ pub use crate::cache::CollectMode;
 use crate::cache::{dataset_key, CacheLookup, CacheStats, DatasetCache, Fnv};
 use crate::dataset::Dataset;
 use crate::hygiene;
-use crate::record::{KernelRow, LayerRow, NetworkRow};
+use crate::record::{Interner, KernelRow, LayerRow, NetworkRow};
 use dnnperf_dnn::Network;
 use dnnperf_gpu::hashrng::hash_with;
 use dnnperf_gpu::{FaultPlan, FaultyProfiler, GpuSpec, ProfileError, Profiler, TimingModel, Trace};
@@ -30,14 +30,19 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Converts one profiler trace into dataset rows.
+///
+/// Every row of the trace shares one network and one GPU string, and
+/// layer-type and kernel names are interned per trace, so a kernel launched
+/// many times is allocated once.
 pub fn trace_rows(trace: &Trace, net: &Network) -> (NetworkRow, Vec<LayerRow>, Vec<KernelRow>) {
     let network: Arc<str> = Arc::from(trace.network.as_str());
     let gpu: Arc<str> = Arc::from(trace.gpu.as_str());
     let batch = trace.batch as u32;
+    let mut names = Interner::default();
     let mut layers = Vec::with_capacity(trace.layers.len());
     let mut kernels = Vec::new();
     for l in &trace.layers {
-        let layer_type: Arc<str> = Arc::from(l.type_tag);
+        let layer_type = names.intern(l.type_tag);
         layers.push(LayerRow {
             network: network.clone(),
             gpu: gpu.clone(),
@@ -56,7 +61,7 @@ pub fn trace_rows(trace: &Trace, net: &Network) -> (NetworkRow, Vec<LayerRow>, V
                 batch,
                 layer_index: l.layer_index as u32,
                 layer_type: layer_type.clone(),
-                kernel: Arc::from(k.name.as_str()),
+                kernel: names.intern(&k.name),
                 in_elems: l.in_elems,
                 flops: l.flops,
                 out_elems: l.out_elems,

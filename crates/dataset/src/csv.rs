@@ -5,7 +5,7 @@
 //! under our control (see DESIGN.md's dependency notes).
 
 use crate::dataset::Dataset;
-use crate::record::{KernelRow, LayerRow, NetworkRow};
+use crate::record::{Interner, KernelRow, LayerRow, NetworkRow};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead, BufWriter, Write};
@@ -189,8 +189,8 @@ impl<'a> Fields<'a> {
         Ok(Fields { parts, line })
     }
 
-    fn str(&self, i: usize) -> Arc<str> {
-        Arc::from(self.parts[i])
+    fn str(&self, i: usize, names: &mut Interner) -> Arc<str> {
+        names.intern(self.parts[i])
     }
 
     fn num<T: std::str::FromStr>(&self, i: usize) -> Result<T, CsvError> {
@@ -223,13 +223,19 @@ fn read_lines(path: &Path, header: &str) -> Result<Vec<String>, CsvError> {
     lines.map(|l| l.map_err(CsvError::from)).collect()
 }
 
-/// Parses one network row. `line_no` is the 1-based line for diagnostics.
-pub(crate) fn parse_network_row(line: &str, line_no: usize) -> Result<NetworkRow, CsvError> {
+/// Parses one network row. `line_no` is the 1-based line for diagnostics;
+/// `names` is the file's string table, so rows naming the same network,
+/// GPU or kernel share one allocation.
+pub(crate) fn parse_network_row(
+    line: &str,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<NetworkRow, CsvError> {
     let f = Fields::new(line, line_no, 9)?;
     Ok(NetworkRow {
-        network: f.str(0),
-        family: f.str(1),
-        gpu: f.str(2),
+        network: f.str(0, names),
+        family: f.str(1, names),
+        gpu: f.str(2, names),
         batch: f.num(3)?,
         flops: f.num(4)?,
         bytes: f.num(5)?,
@@ -240,14 +246,18 @@ pub(crate) fn parse_network_row(line: &str, line_no: usize) -> Result<NetworkRow
 }
 
 /// Parses one layer row.
-pub(crate) fn parse_layer_row(line: &str, line_no: usize) -> Result<LayerRow, CsvError> {
+pub(crate) fn parse_layer_row(
+    line: &str,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<LayerRow, CsvError> {
     let f = Fields::new(line, line_no, 9)?;
     Ok(LayerRow {
-        network: f.str(0),
-        gpu: f.str(1),
+        network: f.str(0, names),
+        gpu: f.str(1, names),
         batch: f.num(2)?,
         layer_index: f.num(3)?,
-        layer_type: f.str(4),
+        layer_type: f.str(4, names),
         flops: f.num(5)?,
         in_elems: f.num(6)?,
         out_elems: f.num(7)?,
@@ -256,15 +266,19 @@ pub(crate) fn parse_layer_row(line: &str, line_no: usize) -> Result<LayerRow, Cs
 }
 
 /// Parses one kernel row.
-pub(crate) fn parse_kernel_row(line: &str, line_no: usize) -> Result<KernelRow, CsvError> {
+pub(crate) fn parse_kernel_row(
+    line: &str,
+    line_no: usize,
+    names: &mut Interner,
+) -> Result<KernelRow, CsvError> {
     let f = Fields::new(line, line_no, 10)?;
     Ok(KernelRow {
-        network: f.str(0),
-        gpu: f.str(1),
+        network: f.str(0, names),
+        gpu: f.str(1, names),
         batch: f.num(2)?,
         layer_index: f.num(3)?,
-        layer_type: f.str(4),
-        kernel: f.str(5),
+        layer_type: f.str(4, names),
+        kernel: f.str(5, names),
         in_elems: f.num(6)?,
         flops: f.num(7)?,
         out_elems: f.num(8)?,
@@ -273,26 +287,29 @@ pub(crate) fn parse_kernel_row(line: &str, line_no: usize) -> Result<KernelRow, 
 }
 
 fn read_networks(path: &Path) -> Result<Vec<NetworkRow>, CsvError> {
+    let mut names = Interner::default();
     read_lines(path, NETWORK_HEADER)?
         .iter()
         .enumerate()
-        .map(|(i, l)| parse_network_row(l, i + 2))
+        .map(|(i, l)| parse_network_row(l, i + 2, &mut names))
         .collect()
 }
 
 fn read_layers(path: &Path) -> Result<Vec<LayerRow>, CsvError> {
+    let mut names = Interner::default();
     read_lines(path, LAYER_HEADER)?
         .iter()
         .enumerate()
-        .map(|(i, l)| parse_layer_row(l, i + 2))
+        .map(|(i, l)| parse_layer_row(l, i + 2, &mut names))
         .collect()
 }
 
 fn read_kernels(path: &Path) -> Result<Vec<KernelRow>, CsvError> {
+    let mut names = Interner::default();
     read_lines(path, KERNEL_HEADER)?
         .iter()
         .enumerate()
-        .map(|(i, l)| parse_kernel_row(l, i + 2))
+        .map(|(i, l)| parse_kernel_row(l, i + 2, &mut names))
         .collect()
 }
 

@@ -90,49 +90,21 @@ impl Dataset {
 
     /// Returns the subset of rows measured on `gpu`.
     pub fn for_gpu(&self, gpu: &str) -> Dataset {
+        let keep = |g: &str| g == gpu;
         Dataset {
-            networks: self
-                .networks
-                .iter()
-                .filter(|r| &*r.gpu == gpu)
-                .cloned()
-                .collect(),
-            layers: self
-                .layers
-                .iter()
-                .filter(|r| &*r.gpu == gpu)
-                .cloned()
-                .collect(),
-            kernels: self
-                .kernels
-                .iter()
-                .filter(|r| &*r.gpu == gpu)
-                .cloned()
-                .collect(),
+            networks: keep_runs(&self.networks, |r| &r.gpu, keep),
+            layers: keep_runs(&self.layers, |r| &r.gpu, keep),
+            kernels: keep_runs(&self.kernels, |r| &r.gpu, keep),
         }
     }
 
     /// Returns the subset of rows belonging to the named networks.
     pub fn for_networks(&self, names: &BTreeSet<String>) -> Dataset {
+        let keep = |n: &str| names.contains(n);
         Dataset {
-            networks: self
-                .networks
-                .iter()
-                .filter(|r| names.contains(&*r.network as &str))
-                .cloned()
-                .collect(),
-            layers: self
-                .layers
-                .iter()
-                .filter(|r| names.contains(&*r.network as &str))
-                .cloned()
-                .collect(),
-            kernels: self
-                .kernels
-                .iter()
-                .filter(|r| names.contains(&*r.network as &str))
-                .cloned()
-                .collect(),
+            networks: keep_runs(&self.networks, |r| &r.network, keep),
+            layers: keep_runs(&self.layers, |r| &r.network, keep),
+            kernels: keep_runs(&self.kernels, |r| &r.network, keep),
         }
     }
 
@@ -169,6 +141,37 @@ impl Dataset {
             .collect::<BTreeSet<_>>()
             .len()
     }
+}
+
+/// Clones the rows whose key passes `keep`, deciding once per run of rows.
+///
+/// The rows of one experiment are contiguous and, as collected or read,
+/// share one `Arc` for the key, so the previous row's decision is reused
+/// while the key is the same allocation and `keep` runs only when it
+/// changes. Equal strings held in distinct allocations just run `keep`
+/// again: pointer identity is a shortcut, never a correctness condition.
+fn keep_runs<R: Clone>(
+    rows: &[R],
+    key: impl Fn(&R) -> &Arc<str>,
+    keep: impl Fn(&str) -> bool,
+) -> Vec<R> {
+    let mut last: Option<(&Arc<str>, bool)> = None;
+    let mut kept = Vec::new();
+    for r in rows {
+        let k = key(r);
+        let decision = match last {
+            Some((prev, decision)) if Arc::ptr_eq(prev, k) => decision,
+            _ => {
+                let decision = keep(k);
+                last = Some((k, decision));
+                decision
+            }
+        };
+        if decision {
+            kept.push(r.clone());
+        }
+    }
+    kept
 }
 
 #[cfg(test)]

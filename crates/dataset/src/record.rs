@@ -1,9 +1,36 @@
 //! Flat measurement records (the dataset's CSV row types).
 //!
 //! Shared strings (network, GPU, kernel names) are `Arc<str>` so the
-//! million-row kernel table stays compact.
+//! million-row kernel table stays compact. Collection and the readers hand
+//! them out through an [`Interner`] per trace, file or cache entry, so rows
+//! that repeat a name share one allocation.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// Hands out one shared `Arc<str>` per distinct string it has seen.
+///
+/// Each trace, CSV file or cache entry gets its own table, so no state is
+/// shared between collection workers and the rows come out the same
+/// whatever the thread count. Two rows naming the same experiment or
+/// kernel then hold the same allocation, which lets
+/// [`crate::Dataset::for_networks`] decide a whole run of rows at once.
+/// Pointer equality is only ever a shortcut: equal strings from different
+/// tables still compare equal by content.
+#[derive(Debug, Default)]
+pub(crate) struct Interner(BTreeSet<Arc<str>>);
+
+impl Interner {
+    /// The shared copy of `s`, allocated on first sight.
+    pub(crate) fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(s) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+}
 
 /// One network-level measurement: a full inference batch on one GPU.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,5 +136,16 @@ mod tests {
             seconds: 0.5,
         };
         assert_eq!(r.drivers(), [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn interner_shares_one_allocation_per_string() {
+        let mut names = Interner::default();
+        let a = names.intern("gemm");
+        let b = names.intern(&String::from("gemm"));
+        let c = names.intern("relu");
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!((&*a, &*c), ("gemm", "relu"));
     }
 }

@@ -4,7 +4,7 @@
 use dnnperf_data::csv::{read_dataset, write_dataset};
 use dnnperf_data::{split_names, Dataset, DatasetView, KernelRow, LayerRow, NetworkRow};
 use dnnperf_testkit::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 fn ident() -> impl Gen<Value = String> {
@@ -85,7 +85,116 @@ fn arb_view_row() -> impl Gen<Value = KernelRow> {
         })
 }
 
+const SPLIT_NETS: [&str; 4] = ["net_a", "net_b", "net_ab", "net_c"];
+const SPLIT_GPUS: [&str; 3] = ["A100", "V100", "A40"];
+
+/// A dataset of experiment runs `(network, gpu, rows, fresh)`: runs of one
+/// network may repeat and interleave with others. A `fresh` run gives every
+/// row its own `Arc` for the network and GPU names; the others share one
+/// `Arc` per name across the whole dataset, as collection and the readers
+/// do.
+fn runs_dataset(runs: &[(usize, usize, usize, bool)]) -> Dataset {
+    let shared_nets: Vec<Arc<str>> = SPLIT_NETS.iter().map(|&n| Arc::from(n)).collect();
+    let shared_gpus: Vec<Arc<str>> = SPLIT_GPUS.iter().map(|&g| Arc::from(g)).collect();
+    let mut ds = Dataset::new();
+    for (run, &(net, gpu, rows, fresh)) in runs.iter().enumerate() {
+        let name = |table: &[Arc<str>], i: usize| {
+            if fresh {
+                Arc::from(&*table[i])
+            } else {
+                Arc::clone(&table[i])
+            }
+        };
+        ds.networks.push(NetworkRow {
+            network: name(&shared_nets, net),
+            family: Arc::from("f"),
+            gpu: name(&shared_gpus, gpu),
+            batch: 1,
+            flops: run as u64,
+            bytes: 1,
+            e2e_seconds: 1.0,
+            gpu_seconds: 1.0,
+            kernel_count: rows as u32,
+        });
+        for li in 0..rows {
+            ds.layers.push(LayerRow {
+                network: name(&shared_nets, net),
+                gpu: name(&shared_gpus, gpu),
+                batch: 1,
+                layer_index: li as u32,
+                layer_type: Arc::from("conv"),
+                flops: run as u64,
+                in_elems: 1,
+                out_elems: 1,
+                seconds: 1.0,
+            });
+            ds.kernels.push(KernelRow {
+                network: name(&shared_nets, net),
+                gpu: name(&shared_gpus, gpu),
+                batch: 1,
+                layer_index: li as u32,
+                layer_type: Arc::from("conv"),
+                kernel: Arc::from("k"),
+                in_elems: 1,
+                flops: run as u64,
+                out_elems: 1,
+                seconds: 1.0,
+            });
+        }
+    }
+    ds
+}
+
+/// The per-row filter the split must equal.
+fn naive_filter(
+    ds: &Dataset,
+    network: impl Fn(&str) -> bool,
+    gpu: impl Fn(&str) -> bool,
+) -> Dataset {
+    Dataset {
+        networks: ds
+            .networks
+            .iter()
+            .filter(|r| network(&r.network) && gpu(&r.gpu))
+            .cloned()
+            .collect(),
+        layers: ds
+            .layers
+            .iter()
+            .filter(|r| network(&r.network) && gpu(&r.gpu))
+            .cloned()
+            .collect(),
+        kernels: ds
+            .kernels
+            .iter()
+            .filter(|r| network(&r.network) && gpu(&r.gpu))
+            .cloned()
+            .collect(),
+    }
+}
+
 props! {
+    #[test]
+    fn splits_equal_a_naive_per_row_filter(
+        runs in vec((0usize..4, 0usize..3, 1usize..5, any_bool()), 0..30),
+        mask in 0usize..16,
+    ) {
+        let ds = runs_dataset(&runs);
+        let names: BTreeSet<String> = SPLIT_NETS
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, n)| n.to_string())
+            .collect();
+        prop_assert_eq!(
+            ds.for_networks(&names),
+            naive_filter(&ds, |n| names.contains(n), |_| true)
+        );
+        for gpu in SPLIT_GPUS.iter().chain(&["TITAN RTX"]) {
+            prop_assert_eq!(ds.for_gpu(gpu), naive_filter(&ds, |_| true, |g| g == *gpu));
+        }
+    }
+
     #[test]
     fn split_is_always_a_partition(n in 0usize..200, frac in 0.0..1.0f64, seed in 0u64..1000) {
         let names: Vec<String> = (0..n).map(|i| format!("net{i}")).collect();
