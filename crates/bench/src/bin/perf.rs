@@ -5,8 +5,13 @@
 //! sweeps — with the in-tree timer (untimed warmup, median-of-k
 //! summaries). These derived figures anchor the regression gate:
 //!
-//! * **warm-predict ns/kernel** — the serving hot path: median sweep time
-//!   divided by the number of compiled kernel terms in the sweep;
+//! * **warm over reference** — the serving hot path: warm-predict
+//!   ns/kernel (median sweep time divided by the number of compiled kernel
+//!   terms in the sweep, itself recorded) over the ns/term of a reference
+//!   sweep timed in the same process: the plan sweep's arithmetic over
+//!   fixed arrays, with no plan, cache or fingerprint around it. The two
+//!   are timed in back-to-back pairs, so the box's speed and load cancel
+//!   out and the ratio gates the hot path rather than the box;
 //! * **warm-vs-legacy speedup** — compiled sweep vs the uncompiled
 //!   `KwModel::predict_network` on identical requests (machine-relative,
 //!   so the gate travels across hardware);
@@ -37,12 +42,60 @@ use dnnperf_data::collect::collect;
 use dnnperf_dnn::{zoo, Network};
 use dnnperf_gpu::GpuSpec;
 use dnnperf_serve::{PredictionServer, ServerConfig};
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
-/// Maximum tolerated regression of warm-predict ns/kernel vs the baseline.
-/// Repeated `--smoke` runs on one box mostly land within 10 % of the
-/// median, but an occasional slow run reads up to 2x; 3x clears that.
-const MAX_NS_PER_KERNEL_REGRESSION: f64 = 3.0;
+/// Maximum tolerated regression of warm-over-reference vs the baseline.
+/// On a 2-core box whose raw warm figure swung 3.2–6.3 ns/kernel between
+/// runs, 20 `--smoke` runs read 2.71–3.48 against the 3.065 baseline, and
+/// 20 runs with every warm prediction done twice read 5.53–6.61; 1.5x
+/// (a 4.60 ceiling) passes the first and fails the second.
+const MAX_WARM_OVER_REFERENCE_REGRESSION: f64 = 1.5;
+
+/// Terms in the reference sweep: about as many as the warm sweep prices.
+const REFERENCE_TERMS: usize = 6736;
+/// Distinct models the reference sweep's terms gather from.
+const REFERENCE_MODELS: usize = 80;
+
+/// The reference sweep: the compiled-plan sweep's per-term arithmetic —
+/// gather a slope and an intercept by model id, add
+/// `(slope * x + intercept).max(0.0)` to one running sum — over fixed
+/// arrays.
+struct ReferenceSweep {
+    features: Vec<f64>,
+    model_of: Vec<usize>,
+    slopes: Vec<f64>,
+    intercepts: Vec<f64>,
+}
+
+impl ReferenceSweep {
+    fn new() -> Self {
+        // Scattered ids and a few negative terms, as a real plan has.
+        ReferenceSweep {
+            features: (0..REFERENCE_TERMS)
+                .map(|i| ((i * 7919) % 1000) as f64 * 1e3 + 1.0)
+                .collect(),
+            model_of: (0..REFERENCE_TERMS)
+                .map(|i| (i * 37) % REFERENCE_MODELS)
+                .collect(),
+            slopes: (1..=REFERENCE_MODELS).map(|m| m as f64 * 1e-12).collect(),
+            intercepts: (0..REFERENCE_MODELS)
+                .map(|m| (m % 7) as f64 * 1e-7 - 1e-7)
+                .collect(),
+        }
+    }
+
+    fn run(&self) -> f64 {
+        let mut s = 0.0;
+        for (x, &i) in self.features.iter().zip(&self.model_of) {
+            let slope = self.slopes.get(i).copied().unwrap_or(0.0);
+            let intercept = self.intercepts.get(i).copied().unwrap_or(0.0);
+            s += (slope * x + intercept).max(0.0);
+        }
+        s
+    }
+}
 
 /// Maximum tolerated regression of compile-over-sweep vs the baseline.
 /// Repeated `--smoke` runs on one box mostly read within 15 % of the
@@ -68,6 +121,32 @@ fn sweep_pairs() -> Vec<(Network, usize)> {
         }
     }
     pairs
+}
+
+/// The median, over `rounds` back-to-back pairs, of one run of `a` over
+/// one run of `b`, after `warmup` untimed pairs. Each pair runs within
+/// microseconds, so both sides see the same box speed and load.
+fn paired_ratio<A, B>(
+    warmup: u32,
+    rounds: u32,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> f64 {
+    for _ in 0..warmup {
+        black_box(a());
+        black_box(b());
+    }
+    let ratios: Vec<f64> = (0..rounds)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(a());
+            let ta = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            black_box(b());
+            ta / t.elapsed().as_secs_f64()
+        })
+        .collect();
+    dnnperf_linreg::percentile(&ratios, 50.0)
 }
 
 fn run(smoke: bool) -> Report {
@@ -148,7 +227,22 @@ fn run(smoke: bool) -> Report {
             .sum::<f64>()
     });
 
+    let reference_sweep = ReferenceSweep::new();
+    let warm_sweep_over_reference = paired_ratio(
+        fast_w,
+        if smoke { 41 } else { 201 },
+        || {
+            pairs
+                .iter()
+                .map(|(n, b)| suite.predict(n, *b).expect("predict"))
+                .sum::<f64>()
+        },
+        || black_box(&reference_sweep).run(),
+    );
+
     let warm_ns_per_kernel = warm.median_ns / sweep_kernel_terms as f64;
+    let warm_over_reference =
+        warm_sweep_over_reference * REFERENCE_TERMS as f64 / sweep_kernel_terms as f64;
     let warm_vs_legacy_speedup = legacy.median_ns / warm.median_ns;
     let workflow_over_sweep = warm.median_ns / plan_sweep.median_ns;
     let server_over_workflow = server_sweep.median_ns / warm.median_ns;
@@ -156,7 +250,8 @@ fn run(smoke: bool) -> Report {
     println!();
     println!(
         "warm predict: {warm_ns_per_kernel:.1} ns/kernel over {sweep_kernel_terms} terms \
-         ({} sweep pairs); warm vs legacy speedup: {warm_vs_legacy_speedup:.2}x",
+         ({} sweep pairs), {warm_over_reference:.2}x the reference sweep per term; \
+         warm vs legacy speedup: {warm_vs_legacy_speedup:.2}x",
         pairs.len()
     );
     println!(
@@ -179,7 +274,13 @@ fn run(smoke: bool) -> Report {
                 "warm_predict_ns_per_kernel",
                 warm_ns_per_kernel,
                 3,
-                Rule::AtMostTimes(MAX_NS_PER_KERNEL_REGRESSION),
+                Rule::Record,
+            ),
+            Figure::fixed(
+                "warm_over_reference",
+                warm_over_reference,
+                3,
+                Rule::AtMostTimes(MAX_WARM_OVER_REFERENCE_REGRESSION),
             ),
             // The compiled sweep must stay well ahead of the uncompiled
             // path it replaces.

@@ -1,21 +1,24 @@
-//! TRAIN_SCALING: KW training throughput over worker counts, with a
+//! TRAIN_SCALING: training throughput over worker counts, with a
 //! regression gate.
 //!
-//! Sweeps KW training over worker counts {1, 2, 4, 8} on an enlarged
+//! Sweeps suite training over worker counts {1, 2, 4, 8} on an enlarged
 //! multi-network grid (BENCH_9.json). Before timing anything it retrains
-//! at every thread count and hard-aborts unless the serialized models are
-//! **byte-identical** — the mergeable-accumulator determinism contract is
-//! a correctness gate, not a statistic. The report records the machine's
-//! cores so the scaling figures are interpretable: the speedup gate only
-//! binds on boxes with at least [`MIN_CORES_FOR_SPEEDUP_GATE`] cores;
-//! below that the gate falls back to a serial ns/row throughput ceiling.
+//! the E2E/LW/KW suite at every thread count, and IGKW (whose per-GPU
+//! classifications fan out over the machine's cores) several times, and
+//! hard-aborts unless the serialized models are **byte-identical** — the
+//! determinism contract is a correctness gate, not a statistic. The
+//! report records the machine's cores so the scaling figures are
+//! interpretable: the speedup gate only binds on boxes with at least
+//! [`MIN_CORES_FOR_SPEEDUP_GATE`] cores; below that the gate falls back to
+//! a serial ns/row throughput ceiling. The wall times of one suite and one
+//! IGKW training at the machine's own width are recorded, not gated.
 //!
 //! Flags and the report format are the shared gate interface
 //! ([`dnnperf_bench::gate`]).
 
 use dnnperf_bench::gate::{self, Figure, Gate, Report, Rule};
-use dnnperf_bench::timer::{bench, BenchResult};
-use dnnperf_core::{TrainOptions, Workflow};
+use dnnperf_bench::timer::{bench, measure, BenchResult};
+use dnnperf_core::{IgkwModel, TrainOptions, Workflow};
 use dnnperf_data::collect::collect;
 use dnnperf_data::DatasetView;
 use dnnperf_dnn::{zoo, Network};
@@ -31,6 +34,10 @@ const MIN_CORES_FOR_SPEEDUP_GATE: usize = 4;
 const MAX_TRAIN_NS_PER_ROW_REGRESSION: f64 = 2.0;
 /// Worker counts the sweep measures.
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
+/// The GPUs IGKW trains on (the paper's Section 5.5 choice).
+const IGKW_GPUS: [&str; 3] = ["A100", "A40", "GTX 1080 Ti"];
+/// Extra IGKW trainings compared against the first.
+const IGKW_REPEATS: usize = 3;
 
 /// The enlarged training grid: enough networks and batch points that the
 /// per-kernel row counts give the chunked accumulators real work to split
@@ -59,28 +66,33 @@ fn run(smoke: bool) -> Report {
     let kernel_groups = view.num_groups();
 
     // Byte-identity first: the whole point of the canonical FIT_CHUNK
-    // reduction tree is that thread count never changes the model. Abort
-    // before timing anything if it does.
-    let reference = Workflow::train_opts(&ds, "A100", &TrainOptions::serial())
-        .expect("train")
-        .kw
-        .to_text();
+    // reduction tree and the in-order joins is that thread count never
+    // changes a model. Abort before timing anything if it does.
+    let suite_text = |opts: &TrainOptions| {
+        let suite = Workflow::train_opts(&ds, "A100", opts).expect("train");
+        [suite.e2e.to_text(), suite.lw.to_text(), suite.kw.to_text()]
+    };
+    let reference = suite_text(&TrainOptions::serial());
     let auto = TrainOptions::from_env();
     let candidates = SCALING_THREADS
         .iter()
         .map(|&t| (format!("threads{t}"), TrainOptions::with_threads(t)))
         .chain([(format!("auto({})", auto.effective_threads()), auto.clone())]);
     for (label, opts) in candidates {
-        let text = Workflow::train_opts(&ds, "A100", &opts)
-            .expect("train")
-            .kw
-            .to_text();
-        if text != reference {
-            eprintln!(
-                "ABORT: training at {label} produced a model that differs \
-                 from the serial reference — determinism contract violated"
-            );
-            std::process::exit(1);
+        if suite_text(&opts) != reference {
+            abort(&format!("suite training at {label}"));
+        }
+    }
+    let igkw_gpus: Vec<GpuSpec> = IGKW_GPUS
+        .iter()
+        .map(|g| GpuSpec::by_name(g).expect("IGKW GPU spec"))
+        .collect();
+    let igkw_ds = collect(&dnnperf_bench::gate_train_nets(), &igkw_gpus, &[8, 32]);
+    let train_igkw = || IgkwModel::train(&igkw_ds, &igkw_gpus).expect("train IGKW");
+    let igkw_reference = train_igkw().to_text();
+    for _ in 0..IGKW_REPEATS {
+        if train_igkw().to_text() != igkw_reference {
+            abort("IGKW training");
         }
     }
 
@@ -93,6 +105,11 @@ fn run(smoke: bool) -> Report {
             })
         })
         .collect();
+
+    let suite_train = measure("train/suite_auto", warm, iters, || {
+        Workflow::train_opts(&ds, "A100", &auto).expect("train")
+    });
+    let igkw_train = measure("train/igkw", warm, iters, train_igkw);
 
     let t1_ns = entries[0].median_ns;
     let ns_per_row = t1_ns / train_rows.max(1) as f64;
@@ -129,6 +146,22 @@ fn run(smoke: bool) -> Report {
             rule,
         ));
     }
+    println!(
+        "suite at {} threads: {:.1} ms   IGKW on {} GPUs: {:.1} ms",
+        auto.effective_threads(),
+        suite_train.median_ns / 1e6,
+        igkw_gpus.len(),
+        igkw_train.median_ns / 1e6,
+    );
+    figures.extend([
+        Figure::fixed(
+            "suite_train_ms",
+            suite_train.median_ns / 1e6,
+            2,
+            Rule::Record,
+        ),
+        Figure::fixed("igkw_train_ms", igkw_train.median_ns / 1e6, 2, Rule::Record),
+    ]);
     println!("byte-identity: OK at every thread count");
 
     Report {
@@ -136,6 +169,15 @@ fn run(smoke: bool) -> Report {
         figures,
         entries,
     }
+}
+
+/// Stops the gate: a retrained model differs from its reference.
+fn abort(what: &str) -> ! {
+    eprintln!(
+        "ABORT: {what} produced a model that differs from the reference — \
+         determinism contract violated"
+    );
+    std::process::exit(1);
 }
 
 fn main() {

@@ -1,7 +1,7 @@
 //! The End-to-End (E2E) model: one linear regression of batch execution
 //! time on total theoretical FLOPs (paper Section 5.2, observation O1).
 
-use crate::error::{PredictError, TrainError};
+use crate::error::{check_seconds, PredictError, TrainError};
 use crate::model::Predictor;
 use dnnperf_data::Dataset;
 use dnnperf_dnn::Network;
@@ -21,7 +21,8 @@ impl E2eModel {
     /// # Errors
     ///
     /// Returns [`TrainError::NoDataForGpu`] if the dataset has no rows for
-    /// `gpu` and [`TrainError::Fit`] if the regression is degenerate.
+    /// `gpu`, [`TrainError::InvalidSeconds`] if a time is NaN, infinite or
+    /// negative, and [`TrainError::Fit`] if the regression is degenerate.
     ///
     /// # Examples
     ///
@@ -67,6 +68,7 @@ impl E2eModel {
         }
         let xs: Vec<f64> = rows.iter().map(|r| r.flops as f64).collect();
         let ys: Vec<f64> = rows.iter().map(|r| r.e2e_seconds).collect();
+        check_seconds(|| format!("E2E model for {gpu}"), ys.iter().copied())?;
         let fit =
             fit_bounded_intercept_with(estimator, &xs, &ys).map_err(|source| TrainError::Fit {
                 what: format!("E2E model for {gpu}"),

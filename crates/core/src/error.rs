@@ -19,6 +19,15 @@ pub enum TrainError {
         /// Samples available.
         got: usize,
     },
+    /// A training row holds a time that is not a finite, non-negative
+    /// number of seconds (the regressions would carry it into every
+    /// prediction).
+    InvalidSeconds {
+        /// What was being fitted.
+        what: String,
+        /// The first offending time.
+        seconds: f64,
+    },
     /// An underlying regression failed irrecoverably.
     Fit {
         /// What was being fitted.
@@ -37,8 +46,30 @@ impl fmt::Display for TrainError {
             TrainError::NotEnoughSamples { what, got } => {
                 write!(f, "not enough samples to fit {what}: got {got}")
             }
+            TrainError::InvalidSeconds { what, seconds } => {
+                write!(f, "cannot fit {what} on a measured time of {seconds} s")
+            }
             TrainError::Fit { what, source } => write!(f, "fitting {what} failed: {source}"),
         }
+    }
+}
+
+/// Checks that every training time is a finite, non-negative number of
+/// seconds, naming the model being fitted (`what`) on failure.
+///
+/// # Errors
+///
+/// Returns [`TrainError::InvalidSeconds`] with the first bad time.
+pub(crate) fn check_seconds(
+    what: impl FnOnce() -> String,
+    seconds: impl IntoIterator<Item = f64>,
+) -> Result<(), TrainError> {
+    match seconds.into_iter().find(|s| !(s.is_finite() && *s >= 0.0)) {
+        Some(seconds) => Err(TrainError::InvalidSeconds {
+            what: what(),
+            seconds,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -143,6 +174,11 @@ mod tests {
         };
         assert!(e.to_string().contains("identical"));
         assert!(Error::source(&e).is_some());
+        let e = TrainError::InvalidSeconds {
+            what: "LW model for A100".into(),
+            seconds: f64::NAN,
+        };
+        assert!(e.to_string().contains("NaN"));
         let e = PredictError::NoKernelMapping { tag: "conv".into() };
         assert!(e.to_string().contains("conv"));
         let e = PredictError::EmptyNetwork {

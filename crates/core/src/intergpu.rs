@@ -17,6 +17,8 @@ use crate::classify::{best_driver, Driver, KernelClassification};
 use crate::error::{PredictError, TrainError};
 use crate::kernelwise::classify_gpu;
 use crate::mapping::KernelMap;
+use crate::par;
+use crate::workflow::TrainOptions;
 use dnnperf_data::Dataset;
 use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::{Layer, Network};
@@ -74,8 +76,10 @@ impl IgkwModel {
     /// # Errors
     ///
     /// Returns [`TrainError::NoDataForGpu`] if any requested GPU has no
-    /// kernel rows, and [`TrainError::NotEnoughSamples`] if no kernel could
-    /// be fitted on any GPU.
+    /// kernel rows, [`TrainError::InvalidSeconds`] if a kernel time is NaN,
+    /// infinite or negative, and [`TrainError::NotEnoughSamples`] if no
+    /// kernel could be fitted on any GPU. With several failing GPUs, the
+    /// first in `gpus` order names the error.
     pub fn train(dataset: &Dataset, gpus: &[GpuSpec]) -> Result<Self, TrainError> {
         IgkwModel::train_with_metric(dataset, gpus, TransferMetric::Bandwidth)
     }
@@ -108,11 +112,27 @@ impl IgkwModel {
         metric: TransferMetric,
         allow_floor: bool,
     ) -> Result<Self, TrainError> {
+        let workers = TrainOptions::default().effective_threads();
+        IgkwModel::train_on(dataset, gpus, metric, allow_floor, workers)
+    }
+
+    /// [`IgkwModel::train_with_options`] with the per-GPU classifications
+    /// spread over `workers` threads, one GPU per job. The maps and classes
+    /// merge in GPU order and the first failing GPU's error wins, so the
+    /// model and the error are the same at every width.
+    pub(crate) fn train_on(
+        dataset: &Dataset,
+        gpus: &[GpuSpec],
+        metric: TransferMetric,
+        allow_floor: bool,
+        workers: usize,
+    ) -> Result<Self, TrainError> {
         // Per GPU: the KW per-kernel classification and fits.
+        let fitted = par::map_ref(gpus, workers, |gpu| classify_gpu(dataset, &gpu.name, 1));
         let mut per_gpu: Vec<(f64, BTreeMap<Arc<str>, KernelClassification>)> = Vec::new();
         let mut map = KernelMap::default();
-        for gpu in gpus {
-            let fitted = classify_gpu(dataset, &gpu.name, 1)?;
+        for (gpu, fitted) in gpus.iter().zip(fitted) {
+            let fitted = fitted?;
             map.merge(fitted.map);
             per_gpu.push((metric_value(metric, gpu), fitted.classes));
         }

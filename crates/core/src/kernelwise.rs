@@ -9,7 +9,7 @@
 
 use crate::classify::{classify_view, Driver, KernelClassification};
 use crate::cluster::{cluster_view, Clustering, DEFAULT_SLOPE_TOLERANCE};
-use crate::error::{PredictError, TrainError};
+use crate::error::{check_seconds, PredictError, TrainError};
 use crate::mapping::KernelMap;
 use crate::model::Predictor;
 use dnnperf_data::{Dataset, DatasetView, KernelRow};
@@ -37,7 +37,8 @@ pub(crate) struct GpuClasses {
 /// # Errors
 ///
 /// Returns [`TrainError::NoDataForGpu`] if the dataset has no kernel rows
-/// for `gpu`.
+/// for `gpu`, and [`TrainError::InvalidSeconds`] if a kernel time is NaN,
+/// infinite or negative.
 pub(crate) fn classify_gpu(
     dataset: &Dataset,
     gpu: &str,
@@ -49,6 +50,10 @@ pub(crate) fn classify_gpu(
             gpu: gpu.to_string(),
         });
     }
+    check_seconds(
+        || format!("kernel models for {gpu}"),
+        rows.iter().map(|r| r.seconds),
+    )?;
     let view = DatasetView::from_refs(&rows);
     Ok(GpuClasses {
         map: KernelMap::from_row_refs(&rows),
@@ -111,7 +116,8 @@ impl KwModel {
     /// # Errors
     ///
     /// Returns [`TrainError::NoDataForGpu`] if the dataset has no kernel
-    /// rows for `gpu`.
+    /// rows for `gpu`, and [`TrainError::InvalidSeconds`] if a kernel time
+    /// is NaN, infinite or negative.
     pub fn train(dataset: &Dataset, gpu: &str) -> Result<Self, TrainError> {
         KwModel::train_with_tolerance(dataset, gpu, DEFAULT_SLOPE_TOLERANCE)
     }
@@ -122,7 +128,8 @@ impl KwModel {
     /// # Errors
     ///
     /// Returns [`TrainError::NoDataForGpu`] if the dataset has no kernel
-    /// rows for `gpu`.
+    /// rows for `gpu`, and [`TrainError::InvalidSeconds`] if a kernel time
+    /// is NaN, infinite or negative.
     pub fn train_with_tolerance(
         dataset: &Dataset,
         gpu: &str,
@@ -146,7 +153,8 @@ impl KwModel {
     /// # Errors
     ///
     /// Returns [`TrainError::NoDataForGpu`] if the dataset has no kernel
-    /// rows for `gpu`.
+    /// rows for `gpu`, and [`TrainError::InvalidSeconds`] if a kernel time
+    /// is NaN, infinite or negative.
     pub fn train_with_options(
         dataset: &Dataset,
         gpu: &str,

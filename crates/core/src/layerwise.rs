@@ -2,9 +2,9 @@
 //! on layer FLOPs; the predicted network time is the sum over layers
 //! (paper Section 5.3, observation O4).
 
-use crate::error::{PredictError, TrainError};
+use crate::error::{check_seconds, PredictError, TrainError};
 use crate::model::Predictor;
-use dnnperf_data::Dataset;
+use dnnperf_data::{Dataset, RunMemo};
 use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::Network;
 use dnnperf_linreg::{fit_bounded_intercept_with, mean, Estimator, Fit, Line};
@@ -44,7 +44,8 @@ impl LwModel {
     /// # Errors
     ///
     /// Returns [`TrainError::NoDataForGpu`] if the dataset has no layer rows
-    /// for `gpu`.
+    /// for `gpu`, and [`TrainError::InvalidSeconds`] if a layer time is NaN,
+    /// infinite or negative.
     pub fn train(dataset: &Dataset, gpu: &str) -> Result<Self, TrainError> {
         LwModel::train_with(dataset, gpu, Estimator::Ols)
     }
@@ -68,15 +69,31 @@ impl LwModel {
                 gpu: gpu.to_string(),
             });
         }
-        let mut grouped: BTreeMap<&str, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
+        check_seconds(
+            || format!("LW model for {gpu}"),
+            rows.iter().map(|r| r.seconds),
+        )?;
+        // Group by layer type: a type already seen in the same trace is
+        // found by pointer, so the ordered-map probe runs about once per
+        // distinct type per trace.
+        let mut ids: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut memo = RunMemo::default();
+        let mut groups: Vec<(&str, Vec<f64>, Vec<f64>)> = Vec::new();
         for r in &rows {
-            let entry = grouped.entry(&r.layer_type).or_default();
-            entry.0.push(r.flops as f64);
-            entry.1.push(r.seconds);
+            let id = memo.get_or_probe(&r.network, &r.layer_type, || {
+                *ids.entry(&r.layer_type).or_insert_with(|| {
+                    groups.push((&r.layer_type, Vec::new(), Vec::new()));
+                    groups.len() - 1
+                })
+            });
+            if let Some((_, xs, ys)) = groups.get_mut(id) {
+                xs.push(r.flops as f64);
+                ys.push(r.seconds);
+            }
         }
-        let per_type = grouped
+        let per_type = groups
             .into_iter()
-            .map(|(tag, (xs, ys))| (tag.to_string(), fit_or_constant(estimator, &xs, &ys)))
+            .map(|(tag, xs, ys)| (tag.to_string(), fit_or_constant(estimator, &xs, &ys)))
             .collect();
         let xs: Vec<f64> = rows.iter().map(|r| r.flops as f64).collect();
         let ys: Vec<f64> = rows.iter().map(|r| r.seconds).collect();
@@ -184,6 +201,7 @@ mod tests {
     use super::*;
     use dnnperf_data::collect::collect;
     use dnnperf_gpu::{GpuSpec, Profiler};
+    use dnnperf_testkit::prelude::*;
 
     fn nets() -> Vec<Network> {
         vec![
@@ -241,6 +259,35 @@ mod tests {
         // VGG training data has no "ln" layers; prediction must still work.
         let t = m.predict_layer("ln", 1e6);
         assert!(t >= 0.0);
+    }
+
+    /// The string-keyed grouping the pointer memo stands in front of.
+    fn naive_per_type(ds: &Dataset, gpu: &str) -> BTreeMap<String, Fit> {
+        let mut grouped: BTreeMap<String, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
+        for r in ds.layers.iter().filter(|r| &*r.gpu == gpu) {
+            let (xs, ys) = grouped.entry(r.layer_type.to_string()).or_default();
+            xs.push(r.flops as f64);
+            ys.push(r.seconds);
+        }
+        grouped
+            .into_iter()
+            .map(|(tag, (xs, ys))| (tag, fit_or_constant(Estimator::Ols, &xs, &ys)))
+            .collect()
+    }
+
+    props! {
+        #[test]
+        fn grouping_equals_string_keyed_reference(
+            experiments in crate::testdata::arb_experiments(crate::testdata::arb_seconds(), 1..12),
+        ) {
+            let ds = crate::testdata::dataset(&experiments);
+            for gpu in crate::testdata::GPUS {
+                match LwModel::train(&ds, gpu) {
+                    Ok(m) => prop_assert_eq!(m.per_type, naive_per_type(&ds, gpu)),
+                    Err(_) => prop_assert!(naive_per_type(&ds, gpu).is_empty()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -67,6 +67,9 @@ pub mod persist;
 pub mod plan;
 pub mod workflow;
 
+#[cfg(test)]
+mod testdata;
+
 pub use cache::{CacheConfig, CacheStats, SharedPlanCache};
 pub use classify::{classify_kernels, classify_view, Driver, KernelClassification};
 pub use cluster::{cluster_kernels, cluster_view, Clustering};

@@ -13,7 +13,7 @@
 //! its log-space coordinates from insertion, so a fallback lookup takes the
 //! query's three logarithms once and one distance per candidate.
 
-use dnnperf_data::KernelRow;
+use dnnperf_data::{KernelRow, RunMemo};
 use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::Layer;
 use std::collections::BTreeMap;
@@ -91,28 +91,74 @@ fn log_distance(query: &[f64; 3], candidate: &[f64; 3]) -> f64 {
     d(*qi, *ci) + d(*qf, *cf) + d(*qo, *co)
 }
 
-/// A recorded signature with its log-space coordinates, computed once when
-/// the signature is inserted.
+/// A recorded signature with its log-space coordinates (computed once at
+/// insertion) and its kernel list.
 #[derive(Debug, Clone)]
 struct Candidate {
     sig: LayerSignature,
     logs: [f64; 3],
+    kernels: Vec<Arc<str>>,
 }
 
-/// The learned mapping from layer signatures to kernel name lists.
+/// The signatures recorded for one layer type.
+#[derive(Debug, Clone, Default)]
+struct TagTable {
+    /// `[in_per, flops_per, out_per]` -> index into `candidates`.
+    exact: BTreeMap<[u64; 3], usize>,
+    /// Insertion order: the fallback's candidates, whose order decides
+    /// distance ties (first wins).
+    candidates: Vec<Candidate>,
+}
+
+impl TagTable {
+    /// Records `sizes` under `tag` unless already present (first write
+    /// wins); `kernels` runs only for a new signature.
+    fn insert_with(
+        &mut self,
+        tag: &Arc<str>,
+        sizes: [u64; 3],
+        kernels: impl FnOnce() -> Vec<Arc<str>>,
+    ) {
+        if self.exact.contains_key(&sizes) {
+            return;
+        }
+        let [in_per, flops_per, out_per] = sizes;
+        self.exact.insert(sizes, self.candidates.len());
+        self.candidates.push(Candidate {
+            sig: LayerSignature {
+                tag: Arc::clone(tag),
+                in_per,
+                flops_per,
+                out_per,
+            },
+            logs: log_coords(in_per, flops_per, out_per),
+            kernels: kernels(),
+        });
+    }
+
+    /// The recorded signatures in ascending `[in, flops, out]` order.
+    fn sorted(&self) -> impl Iterator<Item = &Candidate> {
+        self.exact.values().filter_map(|&i| self.candidates.get(i))
+    }
+}
+
+/// The learned mapping from layer signatures to kernel name lists: one
+/// table per layer type, so building the map and exact lookups compare
+/// three integers once the tag is found.
 #[derive(Debug, Clone, Default)]
 pub struct KernelMap {
-    exact: BTreeMap<LayerSignature, Vec<Arc<str>>>,
-    /// Per tag, the recorded signatures in insertion order: the fallback's
-    /// candidates, whose order decides distance ties (first wins).
-    by_tag: BTreeMap<Arc<str>, Vec<Candidate>>,
+    /// Layer type -> index into `tables`.
+    tags: BTreeMap<Arc<str>, usize>,
+    /// One table per layer type, in first-seen order.
+    tables: Vec<TagTable>,
 }
 
 impl PartialEq for KernelMap {
     fn eq(&self, other: &Self) -> bool {
-        // `by_tag` is a derived index whose per-tag ordering depends on
-        // insertion order; semantic equality is the exact table alone.
-        self.exact == other.exact
+        // Candidate order depends on insertion order; semantic equality is
+        // the set of (signature, kernels) entries, which `entries` yields
+        // in one canonical order.
+        self.entries().eq(other.entries())
     }
 }
 
@@ -143,6 +189,9 @@ impl KernelMap {
     /// identical to [`KernelMap::from_rows`].
     pub fn from_row_refs(rows: &[&KernelRow]) -> Self {
         let mut map = KernelMap::default();
+        // A layer type already seen in the same trace finds its table by
+        // pointer instead of by string.
+        let mut memo = RunMemo::default();
         let mut i = 0;
         while let Some(r) = rows.get(i) {
             let mut j = i + 1;
@@ -154,59 +203,82 @@ impl KernelMap {
             }
             // First write wins, so only a new signature's kernels are
             // collected: most layer executions repeat a recorded one.
-            let sig = LayerSignature::of_row(r);
-            if !map.exact.contains_key(&sig) {
-                let kernels = rows.get(i..j).unwrap_or_default();
-                map.insert_new(sig, kernels.iter().map(|k| k.kernel.clone()).collect());
+            let n = u64::from(r.batch.max(1));
+            let sizes = [r.in_elems / n, r.flops / n, r.out_elems / n];
+            let id = memo.get_or_probe(&r.network, &r.layer_type, || map.table_id(&r.layer_type));
+            if let Some(table) = map.tables.get_mut(id) {
+                table.insert_with(&r.layer_type, sizes, || {
+                    let kernels = rows.get(i..j).unwrap_or_default();
+                    kernels.iter().map(|k| k.kernel.clone()).collect()
+                });
             }
             i = j;
         }
         map
     }
 
-    /// Inserts one signature -> kernel-list entry (first write wins).
-    pub fn insert(&mut self, sig: LayerSignature, kernels: Vec<Arc<str>>) {
-        if !self.exact.contains_key(&sig) {
-            self.insert_new(sig, kernels);
+    /// The index of `tag`'s table, created empty on first use.
+    fn table_id(&mut self, tag: &Arc<str>) -> usize {
+        if let Some(&id) = self.tags.get(&**tag) {
+            return id;
+        }
+        self.tags.insert(Arc::clone(tag), self.tables.len());
+        self.tables.push(TagTable::default());
+        self.tables.len() - 1
+    }
+
+    /// The table of `tag`, if any signature of that type was recorded.
+    fn table(&self, tag: &str) -> Option<&TagTable> {
+        self.tables.get(*self.tags.get(tag)?)
+    }
+
+    /// Records `sizes` under `tag` (first write wins).
+    fn insert_with(
+        &mut self,
+        tag: &Arc<str>,
+        sizes: [u64; 3],
+        kernels: impl FnOnce() -> Vec<Arc<str>>,
+    ) {
+        let id = self.table_id(tag);
+        if let Some(table) = self.tables.get_mut(id) {
+            table.insert_with(tag, sizes, kernels);
         }
     }
 
-    /// Records a signature the table does not hold yet.
-    fn insert_new(&mut self, sig: LayerSignature, kernels: Vec<Arc<str>>) {
-        let logs = log_coords(sig.in_per, sig.flops_per, sig.out_per);
-        self.by_tag
-            .entry(sig.tag.clone())
-            .or_default()
-            .push(Candidate {
-                sig: sig.clone(),
-                logs,
-            });
-        self.exact.insert(sig, kernels);
+    /// Inserts one signature -> kernel-list entry (first write wins).
+    pub fn insert(&mut self, sig: LayerSignature, kernels: Vec<Arc<str>>) {
+        let sizes = [sig.in_per, sig.flops_per, sig.out_per];
+        self.insert_with(&sig.tag, sizes, || kernels);
     }
 
     /// Merges another table into this one (first write wins per signature).
+    /// `other`'s new signatures are recorded in ascending order, which
+    /// fixes their place in this table's distance-tie order.
     pub fn merge(&mut self, other: KernelMap) {
-        for (sig, kernels) in other.exact {
-            self.insert(sig, kernels);
+        for (sig, kernels) in other.entries() {
+            let sizes = [sig.in_per, sig.flops_per, sig.out_per];
+            self.insert_with(&sig.tag, sizes, || kernels.to_vec());
         }
     }
 
     /// Number of distinct signatures recorded.
     pub fn len(&self) -> usize {
-        self.exact.len()
+        self.tables.iter().map(|t| t.candidates.len()).sum()
     }
 
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty()
+        self.tables.iter().all(|t| t.candidates.is_empty())
     }
 
-    /// Iterates over all recorded (signature, kernel list) entries
-    /// (unordered).
+    /// Iterates over all recorded (signature, kernel list) entries,
+    /// ascending by signature.
     pub fn entries(&self) -> impl Iterator<Item = (&LayerSignature, &[Arc<str>])> {
-        self.exact
-            .iter()
-            .map(|(sig, kernels)| (sig, kernels.as_slice()))
+        self.tags
+            .keys()
+            .filter_map(|tag| self.table(tag))
+            .flat_map(TagTable::sorted)
+            .map(|c| (&c.sig, c.kernels.as_slice()))
     }
 
     /// Looks up the kernel list for a layer: exact signature match first,
@@ -224,45 +296,33 @@ impl KernelMap {
         )
     }
 
-    /// [`KernelMap::kernels_for`] on a signature given by its parts. The
-    /// tag is borrowed from the table's own key, so a lookup allocates
-    /// nothing; an unknown tag has no candidates and returns `None`.
+    /// [`KernelMap::kernels_for`] on a signature given by its parts. An
+    /// unknown tag has no candidates and returns `None`.
     fn lookup(&self, tag: &str, in_per: u64, flops_per: u64, out_per: u64) -> Option<&[Arc<str>]> {
-        let (tag, candidates) = self.by_tag.get_key_value(tag)?;
-        let sig = LayerSignature {
-            tag: Arc::clone(tag),
-            in_per,
-            flops_per,
-            out_per,
+        let table = self.table(tag)?;
+        let nearest = match table.exact.get(&[in_per, flops_per, out_per]) {
+            Some(&i) => table.candidates.get(i)?,
+            None => {
+                let query = log_coords(in_per, flops_per, out_per);
+                // `min_by` keeps the first of equal minima: insertion order
+                // breaks distance ties.
+                let (_, nearest) = table
+                    .candidates
+                    .iter()
+                    .map(|c| (log_distance(&query, &c.logs), c))
+                    .min_by(|a, b| a.0.total_cmp(&b.0))?;
+                nearest
+            }
         };
-        if let Some(k) = self.exact.get(&sig) {
-            return Some(k);
-        }
-        let query = log_coords(in_per, flops_per, out_per);
-        // `min_by` keeps the first of equal minima: insertion order breaks
-        // distance ties.
-        let (_, nearest) = candidates
-            .iter()
-            .map(|c| (log_distance(&query, &c.logs), c))
-            .min_by(|a, b| a.0.total_cmp(&b.0))?;
-        self.exact.get(&nearest.sig).map(Vec::as_slice)
+        Some(&nearest.kernels)
     }
 }
 
 impl KernelMap {
     /// Serializes the table (persistence; deterministic order).
     pub(crate) fn write_text(&self, out: &mut String) {
-        let mut entries: Vec<_> = self.exact.iter().collect();
-        entries.sort_by(|a, b| {
-            (&a.0.tag, a.0.in_per, a.0.flops_per, a.0.out_per).cmp(&(
-                &b.0.tag,
-                b.0.in_per,
-                b.0.flops_per,
-                b.0.out_per,
-            ))
-        });
-        out.push_str(&format!("map {}\n", entries.len()));
-        for (sig, kernels) in entries {
+        out.push_str(&format!("map {}\n", self.len()));
+        for (sig, kernels) in self.entries() {
             out.push_str(&format!(
                 "sig {} {} {} {} {}",
                 sig.tag,
@@ -354,7 +414,7 @@ mod tests {
         let map16 = a100_map(std::slice::from_ref(&net), 16);
         let map64 = a100_map(std::slice::from_ref(&net), 64);
         let keys = |m: &KernelMap| {
-            let mut v: Vec<LayerSignature> = m.exact.keys().cloned().collect();
+            let mut v: Vec<LayerSignature> = m.entries().map(|(s, _)| s.clone()).collect();
             // Cache the sort key: the comparator version allocated two
             // format! strings per comparison (O(n log n) allocations).
             v.sort_by_cached_key(|s| format!("{s:?}"));
@@ -364,7 +424,7 @@ mod tests {
         // And structural signatures hit the table exactly.
         for layer in net.layers() {
             let sig = LayerSignature::of_layer(layer);
-            let in_map = map16.exact.contains_key(&sig);
+            let in_map = map16.entries().any(|(s, _)| *s == sig);
             let has_kernels = !dnnperf_gpu::dispatch::dispatch_layer(layer, 1).is_empty();
             assert_eq!(in_map, has_kernels, "{layer:?}");
         }
@@ -503,7 +563,51 @@ mod tests {
         }
     }
 
+    /// The string-keyed table [`KernelMap::from_row_refs`] must equal:
+    /// executions end where network, GPU, batch or layer index changes by
+    /// content, and the first execution of a signature gives its kernels.
+    fn naive_entries(rows: &[KernelRow]) -> Entries {
+        let mut entries: Entries = Vec::new();
+        let mut i = 0;
+        while i < rows.len() {
+            let (a, mut j) = (&rows[i], i + 1);
+            while j < rows.len()
+                && *rows[j].network == *a.network
+                && *rows[j].gpu == *a.gpu
+                && rows[j].batch == a.batch
+                && rows[j].layer_index == a.layer_index
+            {
+                j += 1;
+            }
+            let sig = LayerSignature::of_row(a);
+            if !entries.iter().any(|(s, _)| *s == sig) {
+                entries.push((sig, rows[i..j].iter().map(|r| r.kernel.clone()).collect()));
+            }
+            i = j;
+        }
+        entries
+    }
+
     props! {
+        #[test]
+        fn from_row_refs_equals_string_keyed_build(
+            experiments in crate::testdata::arb_experiments(crate::testdata::arb_seconds(), 1..12),
+            queries in vec(arb_sig(), 1..10),
+        ) {
+            let ds = crate::testdata::dataset(&experiments);
+            let map = KernelMap::from_rows(&ds.kernels);
+            let entries = naive_entries(&ds.kernels);
+            let mut sorted: Vec<_> = entries.iter().map(|(s, k)| (s, names(Some(k)))).collect();
+            sorted.sort_by(|a, b| a.0.cmp(b.0));
+            let got: Vec<_> = map.entries().map(|(s, k)| (s, names(Some(k)))).collect();
+            prop_assert_eq!(got, sorted);
+            prop_assert_eq!(map.len(), entries.len());
+            for q in entries.iter().map(|(s, _)| s).chain(&queries) {
+                let got = map.lookup(&q.tag, q.in_per, q.flops_per, q.out_per);
+                prop_assert_eq!(names(got), names(reference(&entries, q)), "query {:?}", q);
+            }
+        }
+
         #[test]
         fn nearest_lookup_equals_brute_force(
             sigs in vec(arb_sig(), 0..40),

@@ -1,4 +1,4 @@
-//! Bounded parallel-map helper for the training fan-out.
+//! Bounded parallel-map and join helpers for the training fan-out.
 //!
 //! Training work (per-kernel classification, per-cluster pooled refits) is
 //! an embarrassingly parallel grid over an ordered slice. This module
@@ -90,6 +90,24 @@ where
     dnnperf_sched::map_reduce(jobs, workers, map, init, fold)
 }
 
+/// Runs `side` on one scoped thread while `main` runs on the caller, and
+/// returns both results. A panic on the side thread is re-raised on the
+/// caller with its original payload, after `main` has finished, so a
+/// failing half never leaves a detached thread behind.
+pub(crate) fn join<A, B>(side: impl FnOnce() -> A + Send, main: impl FnOnce() -> B) -> (A, B)
+where
+    A: Send,
+{
+    std::thread::scope(|s| {
+        let handle = s.spawn(side);
+        let b = main();
+        match handle.join() {
+            Ok(a) => (a, b),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +132,21 @@ mod tests {
     fn zero_threads_is_treated_as_serial() {
         let items = [1u32, 2, 3];
         assert_eq!(map_ref(&items, 0, |x| x * 2), vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn join_returns_both_results() {
+        let items = [1u64, 2, 3];
+        let (side, main) = join(|| items.iter().sum::<u64>(), || items.len());
+        assert_eq!((side, main), (6, 3));
+    }
+
+    #[test]
+    fn join_reraises_the_side_panic_payload() {
+        let caught =
+            std::panic::catch_unwind(|| join(|| std::panic::panic_any("side failed"), || 7));
+        let payload = caught.expect_err("the side panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"side failed"));
     }
 
     #[test]

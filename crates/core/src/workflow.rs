@@ -9,6 +9,7 @@ use crate::error::{PredictError, TrainError};
 use crate::kernelwise::KwModel;
 use crate::layerwise::LwModel;
 use crate::model::Predictor;
+use crate::par;
 use crate::plan::CompiledPlan;
 use dnnperf_data::collect::collect_opts;
 use dnnperf_data::{CollectOptions, Dataset};
@@ -30,7 +31,8 @@ fn next_generation() -> u64 {
 /// pipeline).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrainOptions {
-    /// Worker threads for the per-kernel classification fits and the
+    /// Worker threads for suite training: one trains E2E and LW beside
+    /// KW, the rest run KW's per-kernel classification fits and
     /// per-cluster pooled refits. `0` (the default) means "auto": use
     /// [`std::thread::available_parallelism`]. `1` disables threading.
     /// The trained models are byte-identical for every worker count.
@@ -134,14 +136,16 @@ impl Workflow {
         Workflow::train_opts(dataset, gpu, &TrainOptions::serial())
     }
 
-    /// Trains the suite with explicit [`TrainOptions`]: the KW model's
-    /// per-kernel classification fits and per-cluster pooled refits fan
-    /// out over the scheduler's work-stealing pool. The trained suite is
-    /// byte-identical to [`Workflow::train`] for every worker count.
+    /// Trains the suite with explicit [`TrainOptions`]: E2E and LW train
+    /// beside KW, and the KW model's per-kernel classification fits and
+    /// per-cluster pooled refits fan out over the scheduler's
+    /// work-stealing pool. The trained suite is byte-identical to
+    /// [`Workflow::train`] for every worker count.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`TrainError`] from the individual models.
+    /// Propagates the first [`TrainError`] in serial order: E2E's, then
+    /// LW's, then KW's.
     pub fn train_opts(
         dataset: &Dataset,
         gpu: &str,
@@ -167,12 +171,15 @@ impl Workflow {
         Workflow::train_with_opts(dataset, gpu, estimator, &TrainOptions::serial())
     }
 
-    /// [`Workflow::train_with`] plus explicit [`TrainOptions`] for the KW
-    /// training fan-out.
+    /// [`Workflow::train_with`] plus explicit [`TrainOptions`]. With more
+    /// than one worker, E2E and LW train on one side thread while KW
+    /// trains on the caller's and fans its fits out over the remaining
+    /// workers.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`TrainError`] from the individual models.
+    /// Propagates the first [`TrainError`] in serial order: E2E's, then
+    /// LW's, then KW's, whatever the worker count.
     pub fn train_with_opts(
         dataset: &Dataset,
         gpu: &str,
@@ -180,10 +187,26 @@ impl Workflow {
         opts: &TrainOptions,
     ) -> Result<Self, TrainError> {
         let threads = opts.effective_threads();
+        let e2e_lw = || {
+            (
+                E2eModel::train_with(dataset, gpu, estimator),
+                LwModel::train_with(dataset, gpu, estimator),
+            )
+        };
+        let kw =
+            |threads| KwModel::train_with_options(dataset, gpu, DEFAULT_SLOPE_TOLERANCE, threads);
+        // The side thread is one of the `threads` workers, so KW fans out
+        // over the rest: never more threads at once than asked for (each
+        // extra concurrent thread costs the allocator another arena).
+        let ((e2e, lw), kw) = if threads > 1 {
+            par::join(e2e_lw, || kw(threads - 1))
+        } else {
+            (e2e_lw(), kw(threads))
+        };
         Ok(Workflow {
-            e2e: E2eModel::train_with(dataset, gpu, estimator)?,
-            lw: LwModel::train_with(dataset, gpu, estimator)?,
-            kw: KwModel::train_with_options(dataset, gpu, DEFAULT_SLOPE_TOLERANCE, threads)?,
+            e2e: e2e?,
+            lw: lw?,
+            kw: kw?,
             plans: Arc::new(SharedPlanCache::new(&CacheConfig::default())),
             generation: AtomicU64::new(next_generation()),
         })
@@ -313,8 +336,223 @@ pub fn predictions_vs_measurements<P: Predictor + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intergpu::{IgkwModel, TransferMetric};
+    use crate::testdata::{self, Experiment, Sharing, GPUS};
     use dnnperf_data::collect::collect;
     use dnnperf_gpu::GpuSpec;
+    use dnnperf_testkit::prelude::*;
+
+    /// The suite's three model files, or the training error.
+    fn suite_text(ds: &Dataset, gpu: &str, threads: usize) -> Result<[String; 3], TrainError> {
+        Workflow::train_opts(ds, gpu, &TrainOptions::with_threads(threads))
+            .map(|w| [w.e2e.to_text(), w.lw.to_text(), w.kw.to_text()])
+    }
+
+    /// The IGKW model file over [`GPUS`] at `workers`, or the error.
+    fn igkw_text(ds: &Dataset, workers: usize) -> Result<String, TrainError> {
+        let gpus: Vec<GpuSpec> = GPUS.iter().filter_map(|g| GpuSpec::by_name(g)).collect();
+        IgkwModel::train_on(ds, &gpus, TransferMetric::Bandwidth, true, workers)
+            .map(|m| m.to_text())
+    }
+
+    props! {
+        #[test]
+        fn suite_is_identical_at_every_width(
+            experiments in testdata::arb_experiments(testdata::arb_seconds(), 1..12),
+        ) {
+            let ds = testdata::dataset(&experiments);
+            for gpu in GPUS {
+                let serial = suite_text(&ds, gpu, 1);
+                for threads in [2, 8] {
+                    prop_assert_eq!(suite_text(&ds, gpu, threads), serial.clone(), "{} at {}", gpu, threads);
+                }
+            }
+        }
+
+        #[test]
+        fn igkw_is_identical_at_every_width(
+            experiments in testdata::arb_experiments(testdata::arb_seconds(), 3..16),
+        ) {
+            let ds = testdata::dataset(&experiments);
+            let serial = igkw_text(&ds, 1);
+            for workers in [2, 3, 8] {
+                prop_assert_eq!(igkw_text(&ds, workers), serial.clone(), "workers {}", workers);
+            }
+        }
+    }
+
+    /// One experiment per (network, GPU) with `layers`, each network at its
+    /// own batch, names interned per experiment as collection does.
+    fn grid(layers: &[testdata::SynthLayer]) -> Vec<Experiment> {
+        (0..4)
+            .flat_map(|net| (0..GPUS.len()).map(move |gpu| (net, gpu)))
+            .map(|(net, gpu)| {
+                (
+                    net,
+                    gpu,
+                    1 << (2 * net),
+                    layers.to_vec(),
+                    Sharing::PerExperiment,
+                )
+            })
+            .collect()
+    }
+
+    /// Three layers of distinct sizes; every kernel has rows on every GPU.
+    fn healthy_layers(seconds: f64) -> Vec<testdata::SynthLayer> {
+        vec![
+            (0, 64, vec![(0, seconds), (1, seconds * 2.0)]),
+            (1, 4096, vec![(2, seconds * 3.0)]),
+            (2, 50_000, vec![(0, seconds * 4.0), (3, seconds)]),
+        ]
+    }
+
+    /// Training outcome at threads 1, 2 and 8 for the suite, and at widths
+    /// 1, 2 and 8 plus the public entry point for IGKW: each must agree.
+    /// Outcomes compare by their `Debug` text, so a NaN in an error equals
+    /// itself.
+    fn same_at_every_width(what: &str, ds: &Dataset, gpu: &str) -> Result<[String; 3], TrainError> {
+        let serial = suite_text(ds, gpu, 1);
+        for threads in [2, 8] {
+            let got = suite_text(ds, gpu, threads);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{serial:?}"),
+                "{what}: suite at {threads}"
+            );
+        }
+        let igkw = format!("{:?}", igkw_text(ds, 1));
+        for workers in [2, 8] {
+            assert_eq!(
+                format!("{:?}", igkw_text(ds, workers)),
+                igkw,
+                "{what}: IGKW at {workers}"
+            );
+        }
+        let gpus: Vec<GpuSpec> = GPUS.iter().filter_map(|g| GpuSpec::by_name(g)).collect();
+        let public = IgkwModel::train(ds, &gpus).map(|m| m.to_text());
+        assert_eq!(format!("{public:?}"), igkw, "{what}: IgkwModel::train");
+        serial
+    }
+
+    #[test]
+    fn adversarial_training_inputs_give_one_answer_at_every_width() {
+        for (what, bad) in [
+            ("NaN", f64::NAN),
+            ("negative", -1e-3),
+            ("infinite", f64::INFINITY),
+        ] {
+            let ds = testdata::dataset(&grid(&healthy_layers(bad)));
+            for gpu in GPUS {
+                match same_at_every_width(what, &ds, gpu) {
+                    Err(TrainError::InvalidSeconds { what, seconds }) => {
+                        assert_eq!(what, format!("E2E model for {gpu}"));
+                        assert!(!(seconds.is_finite() && seconds >= 0.0));
+                    }
+                    other => panic!("{what} seconds on {gpu}: {other:?}"),
+                }
+            }
+            // Past E2E, each model rejects its own rows.
+            assert!(matches!(
+                LwModel::train(&ds, "A40"),
+                Err(TrainError::InvalidSeconds { .. })
+            ));
+            assert!(matches!(
+                crate::KwModel::train(&ds, "A40"),
+                Err(TrainError::InvalidSeconds { .. })
+            ));
+            assert!(matches!(
+                igkw_text(&ds, 2),
+                Err(TrainError::InvalidSeconds { .. })
+            ));
+        }
+        // Every kernel symbol on exactly one row, in one experiment: E2E
+        // has one sample, and the other GPUs have none.
+        let one: Experiment = (
+            0,
+            0,
+            8,
+            vec![
+                (0, 64, vec![(0, 1e-4), (1, 2e-4), (2, 3e-4)]),
+                (1, 300, vec![(3, 4e-4), (4, 5e-4)]),
+            ],
+            Sharing::PerRow,
+        );
+        let single = testdata::dataset(std::slice::from_ref(&one));
+        assert!(matches!(
+            same_at_every_width("single-row kernels", &single, "A100"),
+            Err(TrainError::Fit {
+                source: dnnperf_linreg::FitError::TooFewPoints { got: 1 },
+                ..
+            })
+        ));
+        assert!(matches!(
+            same_at_every_width("single-row kernels", &single, "A40"),
+            Err(TrainError::NoDataForGpu { gpu }) if gpu == "A40"
+        ));
+        // Single-row kernels beside healthy ones still train: such a kernel
+        // gets a constant model.
+        let mut mixed = grid(&healthy_layers(1e-4));
+        mixed.push(one);
+        let ds = testdata::dataset(&mixed);
+        assert!(same_at_every_width("single-row kernels", &ds, "A100").is_ok());
+        // Every row has the same drivers, every network the same FLOPs:
+        // E2E's slope is undefined.
+        let flat: Vec<testdata::SynthLayer> = (0..3)
+            .map(|_| (0, 300, vec![(0, 1e-4), (1, 2e-4)]))
+            .collect();
+        let same_batch: Vec<Experiment> = grid(&flat)
+            .into_iter()
+            .map(|(n, g, _, l, s)| (n, g, 8, l, s))
+            .collect();
+        let identical = testdata::dataset(&same_batch);
+        for gpu in GPUS {
+            assert!(matches!(
+                same_at_every_width("identical drivers", &identical, gpu),
+                Err(TrainError::Fit {
+                    source: dnnperf_linreg::FitError::DegenerateX,
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn errors_keep_serial_precedence_at_every_width() {
+        let healthy = testdata::dataset(&grid(&healthy_layers(1e-4)));
+        // A GPU with no rows fails in the first model, E2E.
+        assert_eq!(
+            same_at_every_width("GPU with no rows", &healthy, "V100"),
+            Err(TrainError::NoDataForGpu { gpu: "V100".into() })
+        );
+        // Kernel rows but no network rows: E2E's error wins over a KW that
+        // trains.
+        let mut no_networks = healthy.clone();
+        no_networks.networks.retain(|r| &*r.gpu != "A40");
+        assert!(Workflow::train(&no_networks, "A100").is_ok());
+        assert_eq!(
+            same_at_every_width("no network rows", &no_networks, "A40"),
+            Err(TrainError::NoDataForGpu { gpu: "A40".into() })
+        );
+        // Network and layer rows but no kernel rows: KW's error, after E2E
+        // and LW trained.
+        let mut no_kernels = healthy.clone();
+        no_kernels.kernels.retain(|r| &*r.gpu != "A40");
+        assert_eq!(
+            same_at_every_width("no kernel rows", &no_kernels, "A40"),
+            Err(TrainError::NoDataForGpu { gpu: "A40".into() })
+        );
+        assert!(E2eModel::train(&no_kernels, "A40").is_ok());
+        // IGKW names the first GPU, in training order, that has no rows.
+        let mut two_missing = healthy;
+        two_missing.kernels.retain(|r| &*r.gpu == "A100");
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(
+                igkw_text(&two_missing, workers),
+                Err(TrainError::NoDataForGpu { gpu: "A40".into() })
+            );
+        }
+    }
 
     #[test]
     fn suite_trains_and_orders_models() {

@@ -5,6 +5,7 @@ use dnnperf_core::{E2eModel, IgkwModel, KwModel, LwModel, PersistError, Predicto
 use dnnperf_data::collect::collect;
 use dnnperf_data::Dataset;
 use dnnperf_gpu::GpuSpec;
+use dnnperf_testkit::prelude::*;
 
 fn dataset() -> Dataset {
     let nets = [
@@ -168,5 +169,138 @@ fn model_files_are_human_readable() {
     // Every line is valid UTF-8 ASCII-ish text with a keyword.
     for line in text.lines() {
         assert!(line.split_whitespace().next().is_some());
+    }
+}
+
+/// One valid file of each model kind, trained once per test binary.
+fn model_files() -> &'static [String; 4] {
+    static FILES: std::sync::OnceLock<[String; 4]> = std::sync::OnceLock::new();
+    FILES.get_or_init(|| {
+        let nets = [
+            dnnperf_dnn::zoo::resnet::resnet18(),
+            dnnperf_dnn::zoo::vgg::vgg11(),
+        ];
+        let gpus = [
+            GpuSpec::by_name("A100").unwrap(),
+            GpuSpec::by_name("V100").unwrap(),
+        ];
+        let ds = collect(&nets, &gpus, &[8, 32]);
+        [
+            E2eModel::train(&ds, "A100").unwrap().to_text(),
+            LwModel::train(&ds, "A100").unwrap().to_text(),
+            KwModel::train(&ds, "A100").unwrap().to_text(),
+            IgkwModel::train(&ds, &gpus).unwrap().to_text(),
+        ]
+    })
+}
+
+/// Reads `text` with every model reader. Each must return, never panic,
+/// and a model it accepts must write a file it reads back unchanged.
+fn read_with_every_reader(text: &str) -> [bool; 4] {
+    fn check<M>(
+        text: &str,
+        read: fn(&str) -> Result<M, PersistError>,
+        write: fn(&M) -> String,
+    ) -> bool {
+        match read(text) {
+            Ok(m) => {
+                let written = write(&m);
+                let again = read(&written).expect("a written model reads back");
+                assert_eq!(write(&again), written);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+    [
+        check(text, E2eModel::from_text, E2eModel::to_text),
+        check(text, LwModel::from_text, LwModel::to_text),
+        check(text, KwModel::from_text, KwModel::to_text),
+        check(text, IgkwModel::from_text, IgkwModel::to_text),
+    ]
+}
+
+/// Tokens a mutation writes over a field: hostile counts, non-numbers and
+/// numeric edge cases.
+const HOSTILE: [&str; 10] = [
+    "",
+    "-1",
+    "NaN",
+    "inf",
+    "0",
+    "1e308",
+    "1099511627776",
+    "18446744073709551616",
+    "x",
+    "sig",
+];
+
+/// Applies one `(op, at, pick)` edit to a model file's lines.
+fn mutate(lines: &mut Vec<String>, (op, at, pick): (usize, usize, usize)) {
+    if lines.is_empty() {
+        return;
+    }
+    let i = at % lines.len();
+    match op {
+        0 => {
+            lines.remove(i);
+        }
+        1 => {
+            let l = lines[i].clone();
+            lines.insert(i, l);
+        }
+        2 => {
+            let j = pick % lines.len();
+            lines.swap(i, j);
+        }
+        3 => {
+            // Overwrite one whitespace-separated field.
+            let mut fields: Vec<&str> = lines[i].split(' ').collect();
+            let f = pick % fields.len();
+            fields[f] = HOSTILE[pick % HOSTILE.len()];
+            lines[i] = fields.join(" ");
+        }
+        _ => {
+            // Cut the line at a character boundary.
+            let cut = lines[i]
+                .char_indices()
+                .map(|(b, _)| b)
+                .nth(pick % lines[i].len().max(1))
+                .unwrap_or(0);
+            lines[i].truncate(cut);
+        }
+    }
+}
+
+props! {
+    #[test]
+    fn readers_reject_arbitrary_bytes(bytes in vec(0u64..256, 0..600), header in any_bool(), kind in 0usize..4) {
+        let mut raw: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        if header {
+            // Past the header check, into the body readers.
+            let kinds = ["e2e", "lw", "kw", "igkw"];
+            let mut text = format!("dnnperf-model v1 {}\n", kinds[kind]).into_bytes();
+            text.append(&mut raw);
+            raw = text;
+        }
+        let text = String::from_utf8_lossy(&raw);
+        prop_assert_eq!(read_with_every_reader(&text), [false; 4]);
+    }
+
+    #[test]
+    fn readers_survive_mutated_model_files(
+        kind in 0usize..4,
+        edits in vec((0usize..5, 0usize..1 << 20, 0usize..1 << 20), 1..5),
+    ) {
+        let mut lines: Vec<String> = model_files()[kind].lines().map(String::from).collect();
+        for edit in edits {
+            mutate(&mut lines, edit);
+        }
+        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        // Only a file of the model's own kind can be accepted.
+        let accepted = read_with_every_reader(&text);
+        for (k, ok) in accepted.iter().enumerate() {
+            prop_assert!(!ok || k == kind, "kind {} file read as kind {}", kind, k);
+        }
     }
 }

@@ -37,6 +37,6 @@ pub use cache::{CacheLookup, CacheStats, CollectMode, DatasetCache};
 pub use collect::{CollectOptions, CollectReport};
 pub use dataset::Dataset;
 pub use hygiene::{dataset_is_wholesome, quarantine_scale_outliers, trace_is_wholesome};
-pub use record::{KernelRow, LayerRow, NetworkRow};
+pub use record::{KernelRow, LayerRow, NetworkRow, RunMemo};
 pub use split::split_names;
 pub use view::{DatasetView, GroupView};

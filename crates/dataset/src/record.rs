@@ -32,6 +32,57 @@ impl Interner {
     }
 }
 
+/// Most names one [`RunMemo`] run remembers. Past this, further names of
+/// the run take the caller's string probe every time, so a run with many
+/// distinct names costs at most this many pointer compares per row.
+const RUN_MEMO_CAP: usize = 64;
+
+/// A pointer-keyed shortcut in front of a string-keyed map, scoped to one
+/// run of rows that share a network `Arc`.
+///
+/// Names are interned per trace (see [`Interner`]), so while the rows come
+/// from one trace, the same kernel or layer type is the same allocation
+/// and the memo answers it with a pointer compare instead of a string
+/// probe. A new run starts from an empty memo: the next trace's names are
+/// new allocations, and clearing keeps the scan short. A miss, including
+/// an equal string held in a distinct allocation, just runs the probe:
+/// pointer identity is a shortcut, never a correctness condition. The
+/// borrow `'a` keeps every remembered allocation alive, so no address can
+/// be reused for another string while the memo holds it.
+#[derive(Debug, Default)]
+pub struct RunMemo<'a> {
+    /// The network `Arc` of the current run.
+    run: Option<&'a Arc<str>>,
+    /// `(name address, value)` for the run's names, first-seen order.
+    hits: Vec<(*const u8, usize)>,
+}
+
+impl<'a> RunMemo<'a> {
+    /// The value for `name` in the run of rows whose network is `network`:
+    /// the remembered one when this allocation was seen earlier in the
+    /// run, otherwise `probe()` (which the memo then remembers).
+    pub fn get_or_probe(
+        &mut self,
+        network: &'a Arc<str>,
+        name: &'a Arc<str>,
+        probe: impl FnOnce() -> usize,
+    ) -> usize {
+        if !self.run.is_some_and(|run| Arc::ptr_eq(run, network)) {
+            self.run = Some(network);
+            self.hits.clear();
+        }
+        let addr = Arc::as_ptr(name).cast::<u8>();
+        if let Some(&(_, value)) = self.hits.iter().find(|(a, _)| *a == addr) {
+            return value;
+        }
+        let value = probe();
+        if self.hits.len() < RUN_MEMO_CAP {
+            self.hits.push((addr, value));
+        }
+        value
+    }
+}
+
 /// One network-level measurement: a full inference batch on one GPU.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkRow {
@@ -136,6 +187,29 @@ mod tests {
             seconds: 0.5,
         };
         assert_eq!(r.drivers(), [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn run_memo_answers_by_allocation_within_a_run() {
+        let (net_a, net_b) = (Arc::<str>::from("a"), Arc::<str>::from("b"));
+        let gemm = Arc::<str>::from("gemm");
+        let gemm_again = Arc::<str>::from("gemm");
+        let probes = &std::cell::Cell::new(0);
+        let probe = |value| {
+            move || {
+                probes.set(probes.get() + 1);
+                value
+            }
+        };
+        let mut memo = RunMemo::default();
+        assert_eq!(memo.get_or_probe(&net_a, &gemm, probe(7)), 7);
+        // Same run, same allocation: remembered, whatever the probe says.
+        assert_eq!(memo.get_or_probe(&net_a, &gemm, probe(8)), 7);
+        // An equal string in another allocation takes the probe.
+        assert_eq!(memo.get_or_probe(&net_a, &gemm_again, probe(9)), 9);
+        // A new run starts empty.
+        assert_eq!(memo.get_or_probe(&net_b, &gemm, probe(10)), 10);
+        assert_eq!(probes.get(), 3);
     }
 
     #[test]

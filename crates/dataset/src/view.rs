@@ -13,7 +13,7 @@
 //! group see the same sample sequence whatever order the groups were
 //! discovered in.
 
-use crate::record::KernelRow;
+use crate::record::{KernelRow, RunMemo};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -66,22 +66,27 @@ pub struct GroupView<'a> {
 }
 
 impl DatasetView {
-    /// Builds the view from borrowed rows with a stable counting sort: one
-    /// ordered-map lookup per row assigns a dense first-seen id, the map's
+    /// Builds the view from borrowed rows with a stable counting sort: each
+    /// row gets a dense first-seen id for its kernel, the id map's
     /// ascending symbol order fixes the group order, prefix sums of the
     /// per-id row counts become `bounds`, and each row is written at its
     /// group's cursor, so rows keep their input order within a group. No
-    /// row is cloned.
+    /// row is cloned. A [`RunMemo`] answers a kernel already seen in the
+    /// same trace by pointer, so the ordered-map probe runs about once per
+    /// distinct kernel per trace rather than once per row.
     pub fn from_refs(rows: &[&KernelRow]) -> Self {
         let mut ids: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut memo = RunMemo::default();
         let mut names: Vec<&Arc<str>> = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
         let mut row_ids: Vec<usize> = Vec::with_capacity(rows.len());
         for row in rows {
-            let id = *ids.entry(&row.kernel).or_insert_with(|| {
-                names.push(&row.kernel);
-                counts.push(0);
-                names.len() - 1
+            let id = memo.get_or_probe(&row.network, &row.kernel, || {
+                *ids.entry(&row.kernel).or_insert_with(|| {
+                    names.push(&row.kernel);
+                    counts.push(0);
+                    names.len() - 1
+                })
             });
             if let Some(c) = counts.get_mut(id) {
                 *c += 1;

@@ -173,6 +173,94 @@ fn naive_filter(
     }
 }
 
+/// One run of kernel rows on one network: `(network, fresh network
+/// per row, rows)`, each row `(kernel, fresh kernel name, drivers,
+/// seconds)`.
+type ViewRun = (usize, bool, Vec<(usize, bool, u64, u64, u64, f64)>);
+
+fn arb_view_run() -> impl Gen<Value = ViewRun> {
+    (
+        0usize..3,
+        any_bool(),
+        vec(
+            (
+                0usize..6,
+                any_bool(),
+                0u64..1000,
+                0u64..1000,
+                0u64..1000,
+                0.0..1.0f64,
+            ),
+            1..12,
+        ),
+    )
+}
+
+/// Rows of `runs`, in order. Unless a row asks for a fresh allocation,
+/// names come from one shared `Arc` per string, so runs of one network
+/// interleave with others and a kernel name is often the same allocation
+/// in one run and another allocation of the same string in the next.
+fn view_runs_rows(runs: &[ViewRun]) -> Vec<KernelRow> {
+    let nets: Vec<Arc<str>> = SPLIT_NETS.iter().map(|&n| Arc::from(n)).collect();
+    let kernels: Vec<Arc<str>> = ["gemm", "a", "ab", "b", "relu", "ba"]
+        .iter()
+        .map(|&k| Arc::from(k))
+        .collect();
+    let name = |table: &[Arc<str>], i: usize, fresh: bool| {
+        if fresh {
+            Arc::from(&*table[i])
+        } else {
+            Arc::clone(&table[i])
+        }
+    };
+    let mut rows = Vec::new();
+    for (net, fresh_net, run) in runs {
+        for &(kernel, fresh_kernel, in_elems, flops, out_elems, seconds) in run {
+            rows.push(KernelRow {
+                network: name(&nets, *net, *fresh_net),
+                gpu: Arc::from("g"),
+                batch: 1,
+                layer_index: 0,
+                layer_type: Arc::from("conv"),
+                kernel: name(&kernels, kernel, fresh_kernel),
+                in_elems,
+                flops,
+                out_elems,
+                seconds,
+            });
+        }
+    }
+    rows
+}
+
+/// The view of `rows` must equal a string-keyed grouping: one group per
+/// distinct kernel name, ascending, each holding its rows in input order.
+fn check_view_against_string_grouping(rows: &[KernelRow]) {
+    let refs: Vec<&KernelRow> = rows.iter().collect();
+    let view = DatasetView::from_refs(&refs);
+    let mut names: Vec<&str> = rows.iter().map(|r| &*r.kernel).collect();
+    names.sort_unstable();
+    names.dedup();
+    prop_assert_eq!(view.num_groups(), names.len());
+    prop_assert_eq!(view.num_rows(), rows.len());
+    let mut covered = 0;
+    for (g, name) in names.iter().enumerate() {
+        let gv = view.group(g).expect("group in range");
+        prop_assert_eq!(&**gv.kernel, *name);
+        prop_assert_eq!(view.group_index(name), Some(g));
+        let members: Vec<&KernelRow> = rows.iter().filter(|r| &*r.kernel == *name).collect();
+        for (d, col) in gv.drivers.iter().enumerate() {
+            let expected: Vec<f64> = members.iter().map(|r| r.drivers()[d]).collect();
+            prop_assert_eq!(*col, expected.as_slice());
+        }
+        let expected: Vec<f64> = members.iter().map(|r| r.seconds).collect();
+        prop_assert_eq!(gv.seconds, expected.as_slice());
+        covered += gv.seconds.len();
+    }
+    prop_assert_eq!(covered, rows.len());
+    prop_assert!(view.group(names.len()).is_none());
+}
+
 props! {
     #[test]
     fn splits_equal_a_naive_per_row_filter(
@@ -293,28 +381,12 @@ props! {
 
     #[test]
     fn view_groups_are_a_stable_partition_by_kernel(rows in vec(arb_view_row(), 0..300)) {
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let view = DatasetView::from_refs(&refs);
-        let mut names: Vec<&str> = rows.iter().map(|r| &*r.kernel).collect();
-        names.sort_unstable();
-        names.dedup();
-        prop_assert_eq!(view.num_groups(), names.len());
-        prop_assert_eq!(view.num_rows(), rows.len());
-        let mut covered = 0;
-        for (g, name) in names.iter().enumerate() {
-            let gv = view.group(g).expect("group in range");
-            prop_assert_eq!(&**gv.kernel, *name);
-            prop_assert_eq!(view.group_index(name), Some(g));
-            let members: Vec<&KernelRow> = rows.iter().filter(|r| &*r.kernel == *name).collect();
-            for (d, col) in gv.drivers.iter().enumerate() {
-                let expected: Vec<f64> = members.iter().map(|r| r.drivers()[d]).collect();
-                prop_assert_eq!(*col, expected.as_slice());
-            }
-            let expected: Vec<f64> = members.iter().map(|r| r.seconds).collect();
-            prop_assert_eq!(gv.seconds, expected.as_slice());
-            covered += gv.seconds.len();
-        }
-        prop_assert_eq!(covered, rows.len());
-        prop_assert!(view.group(names.len()).is_none());
+        check_view_against_string_grouping(&rows);
+    }
+
+    #[test]
+    fn view_over_shared_names_equals_string_grouping(runs in vec(arb_view_run(), 0..30)) {
+        let rows = view_runs_rows(&runs);
+        check_view_against_string_grouping(&rows);
     }
 }
